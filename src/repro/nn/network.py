@@ -18,6 +18,7 @@ import numpy as np
 from ..core.regularizers import Regularizer
 from ..optim.trainer import Parameter
 from .layers.base import Layer
+from .layers.dense import Dense
 from .layers.loss import SoftmaxCrossEntropy
 
 __all__ = ["Network", "RegularizerFactory"]
@@ -82,6 +83,16 @@ class Network:
     def weight_regularizers(self) -> Dict[str, Regularizer]:
         """``{qualified_weight_name: regularizer}`` currently attached."""
         return dict(self._weight_regularizers)
+
+    @property
+    def n_features(self) -> Optional[int]:
+        """Input row width when the first layer is :class:`Dense`, else ``None``.
+
+        Servers check request rows against it
+        (:class:`~repro.serve.server.ModelServer`).
+        """
+        first = self.layers[0]
+        return first.in_features if isinstance(first, Dense) else None
 
     # ------------------------------------------------------------------
     # Compute dtype (the float32 fast path)

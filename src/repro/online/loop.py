@@ -5,9 +5,10 @@ pieces into a continuously learning system.  Each :meth:`step` consumes
 one labeled mini-batch in the **prequential** (test-then-train) order:
 
 1. **Serve** — the live model answers every row first (through a
-   :class:`~repro.serve.server.ModelServer` /
-   :class:`~repro.serve.sharding.server.ShardedModelServer` when one is
-   attached, else straight from the registry's active snapshot).  The
+   :class:`~repro.serve.server.ModelServer` when one is attached —
+   in-process or, as
+   :class:`~repro.serve.sharding.server.ShardedModelServer`, on a shard
+   fleet — else straight from the registry's active snapshot).  The
    serving tier's shed-to-inline guarantee means every request gets an
    answer; the loop counts requests vs answers so "zero drops" is a
    measured fact, not an assumption.
@@ -21,7 +22,9 @@ one labeled mini-batch in the **prequential** (test-then-train) order:
    cadence trigger fires; the shadow evaluator picks it up.
 5. **Promote / roll back** — the promotion policy judges the shadow
    window; a *promote* verdict activates the candidate in the registry
-   and broadcasts ``hot_swap`` to a sharded server; a post-promotion
+   and, on a sharded server, broadcasts it to every worker at once
+   with ``hot_swap`` (an in-process server picks it up on its next
+   batch); a post-promotion
    live-accuracy collapse triggers rollback to the registry's
    last-known-good version.
 
@@ -73,8 +76,9 @@ class ContinuousLoop:
         :class:`~repro.online.promotion.PromotionPolicy` gate.
     server:
         Optional serving tier answering live traffic.  Anything with
-        ``predict_many(x)``; if it also exposes ``hot_swap`` (the
-        sharded tier), promotions broadcast through it.  Without a
+        ``predict_many(x)``; if it also exposes ``hot_swap``
+        (:class:`~repro.serve.sharding.server.ShardedModelServer`),
+        promotions and rollbacks broadcast through it.  Without a
         server the loop scores against the registry's active snapshot
         directly.
     metrics:

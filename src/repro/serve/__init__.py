@@ -16,11 +16,13 @@ closes the repo's train → serve gap:
     :class:`PredictionCache` — LRU of per-row results keyed on
     method x model-version x row bytes.
 :mod:`repro.serve.server`
-    :class:`ModelServer` — the request lifecycle: per-request
-    deadlines, backpressure shedding to a single-item sync path, and
-    full :class:`~repro.telemetry.metrics.MetricsRegistry` wiring
-    (latency/batch-size histograms, queue-depth gauge, shed and cache
-    counters).
+    :class:`ModelServer` — the one request lifecycle: boundary
+    validation (typed :class:`InvalidRequest`, counted per reason),
+    per-request deadlines, backpressure shedding to a single-item sync
+    path, and full :class:`~repro.telemetry.metrics.MetricsRegistry`
+    wiring (latency/batch-size histograms, queue-depth gauge, shed,
+    rejection and cache counters), over a dispatch backend that scores
+    the coalesced batches in-process by default.
 :mod:`repro.serve.resilience`
     :class:`FaultInjector` (seeded chaos harness), :class:`RetryPolicy`
     (exponential backoff + full jitter + deadline budgets),
@@ -31,10 +33,11 @@ closes the repo's train → serve gap:
     probes (see ``docs/RUNBOOK.md``).
 :mod:`repro.serve.sharding`
     :class:`~repro.serve.sharding.server.ShardedModelServer` — the same
-    request lifecycle spread over N worker *processes*: consistent-hash
-    routing, shared-memory batch transport, a supervisor that respawns
-    dead workers from the last-known-good snapshot, and atomic
-    hot-swap broadcast (load-tested by :mod:`repro.loadgen`).
+    ``ModelServer`` with the shard-fleet backend, which scores on N
+    worker *processes*: consistent-hash routing, shared-memory batch
+    transport, a supervisor that respawns dead workers from the
+    last-known-good snapshot, and atomic hot-swap broadcast
+    (load-tested by :mod:`repro.loadgen`).
 
 Entry points: ``python -m repro serve [--shards N]`` /
 ``python -m repro predict`` / ``python -m repro loadgen`` (CLI) and
@@ -53,7 +56,7 @@ from .resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from .server import ModelServer
+from .server import InvalidRequest, ModelServer
 from .sharding import ShardedModelServer
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "FaultInjector",
     "FaultProfile",
     "InjectedFault",
+    "InvalidRequest",
     "MicroBatcher",
     "ModelRegistry",
     "ModelServer",

@@ -1,6 +1,7 @@
 """Multi-process sharded serving tier.
 
-Composes four pieces behind the familiar ``ModelServer`` surface:
+A dispatch backend for :class:`~repro.serve.server.ModelServer`, built
+from four pieces:
 
 - :mod:`~repro.serve.sharding.hashing` — seeded consistent-hash ring
   (stable, bounded-movement routing of cache-keyed requests);
@@ -11,11 +12,13 @@ Composes four pieces behind the familiar ``ModelServer`` surface:
 - :mod:`~repro.serve.sharding.supervisor` — spawn/watch/respawn with
   last-known-good snapshots and atomic swap broadcast;
 - :mod:`~repro.serve.sharding.server` — the
-  :class:`~repro.serve.sharding.server.ShardedModelServer` facade.
+  :class:`~repro.serve.sharding.server.ShardFleet` backend and
+  :class:`~repro.serve.sharding.server.ShardedModelServer`, the
+  ``ModelServer`` that scores on it.
 """
 
 from .hashing import ConsistentHashRing, routing_key
-from .server import ShardedModelServer
+from .server import ShardedModelServer, ShardFleet
 from .shm import ScoreResult, ShardChannel, ShardDead, ShardWorkerError
 from .supervisor import ShardHandle, ShardSupervisor
 from .worker import apply_state_blob, shard_worker_main, state_blob
@@ -24,6 +27,7 @@ __all__ = [
     "ConsistentHashRing",
     "routing_key",
     "ShardedModelServer",
+    "ShardFleet",
     "ScoreResult",
     "ShardChannel",
     "ShardDead",

@@ -1,18 +1,18 @@
-"""Sharded model server: the ``ModelServer`` API over a process fleet.
+"""Sharded serving: the ``ModelServer`` lifecycle over a process fleet.
 
-:class:`ShardedModelServer` keeps the single-process server's request
-lifecycle — normalize, resolve version, consult the LRU cache,
-micro-batch, degrade instead of fail — but scores batches on N worker
-*processes* instead of GIL-bound threads:
+:class:`ShardedModelServer` is a :class:`~repro.serve.server.ModelServer`
+whose coalesced batches are scored by a :class:`ShardFleet` — N worker
+*processes* instead of GIL-bound threads.  Validation, resolution, the
+cache, micro-batching, shedding, deadlines, rescue and the
+health/ready/stats probes are the one lifecycle in
+:mod:`repro.serve.server`; the fleet owns only what differs:
 
 - **routing** — every request's content key (method + row bytes) lands
   on a shard via a seeded consistent-hash ring, so identical rows
   always reach the same worker and changing the fleet size moves only
   ~1/N of the keyspace;
-- **batching** — each shard has its own parent-side
-  :class:`~repro.serve.batching.MicroBatcher` (one dispatcher thread),
-  so coalescing semantics, cancellation and drain are exactly the
-  machinery the single-process path already proved out;
+- **lanes** — each shard has its own parent-side
+  :class:`~repro.serve.batching.MicroBatcher` (one dispatcher thread);
 - **dispatch** — a coalesced batch travels to its worker through a
   shared-memory slab (no per-request pickling) and the results fan
   back from the response slab, with worker-side timing recorded as a
@@ -20,78 +20,282 @@ micro-batch, degrade instead of fail — but scores batches on N worker
 - **resilience** — each shard sits behind its own
   :class:`~repro.serve.resilience.CircuitBreaker`; dead or tripped
   shards are routed around on the ring, a batch stranded by a worker
-  death is rescued row-by-row on the parent's own model snapshot
-  (``serve/rescued_total`` — zero requests dropped), and the
+  death is always rescued row-by-row on the parent's own model
+  snapshot (``serve/rescued_total`` — zero requests dropped), and the
   supervisor respawns the worker with the last-known-good state;
-- **hot-swap** — when the backing registry's active version moves, the
-  server loads the new model once, broadcasts its state blob to every
-  worker, and only then serves under the new version label, so a
-  publish atomically reaches the whole fleet.
+- **hot-swap** — when the version the server resolves for a batch
+  moves, the fleet broadcasts its state blob to every worker before
+  scoring under it, so a publish atomically reaches the whole fleet.
 
 Per-shard instruments (``serve/shard/<i>/...``) sit alongside the
-aggregate ones, and :meth:`ShardedModelServer.health` reports the
-per-shard status list that makes a half-dead fleet distinguishable
-from a healthy one.
+aggregate ones, and the per-shard entries of
+:meth:`~repro.serve.server.ModelServer.health` make a half-dead fleet
+distinguishable from a healthy one.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
+import functools
 import threading
-from collections import defaultdict
-from types import TracebackType
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from ... import rng as repro_rng
-from ...telemetry import trace as tracing
 from ...telemetry.metrics import MetricsRegistry
 from ...telemetry.trace import Tracer, add_event
-from ..batching import MicroBatcher, ServeRequest, ServerClosed
-from ..cache import PredictionCache
+from ..batching import MicroBatcher
 from ..registry import ModelRegistry
-from ..resilience import BreakerOpen, CircuitBreaker, ResiliencePolicy
+from ..resilience import (
+    BreakerOpen,
+    CircuitBreaker,
+    FaultInjector,
+    ResiliencePolicy,
+)
+from ..server import ModelServer
 from .hashing import ConsistentHashRing, routing_key
-from .shm import ShardDead, ShardWorkerError
+from .shm import ScoreResult, ShardDead, ShardWorkerError
 from .supervisor import ShardSupervisor
 
-__all__ = ["ShardedModelServer"]
+__all__ = ["ShardFleet", "ShardedModelServer"]
+
+#: Virtual nodes per shard on the consistent-hash ring.
+RING_REPLICAS = 64
+
+#: Seed of the ring layout; replicas of one deployment must agree on it.
+RING_SEED = repro_rng.REPRO_DEFAULT_SEED
+
+#: Seconds a dispatch waits on a *live but silent* worker before
+#: declaring the shard dead (a killed worker is detected within one
+#: liveness poll, independent of this).
+DISPATCH_TIMEOUT = 30.0
 
 _PROBE_METHODS = ("predict", "predict_proba", "decision_function")
 
 
-class ShardedModelServer:
+def _probe_methods(model: Any, n_features: int) -> Dict[str, int]:
+    """Per-method output width, probed once on a zero row."""
+    widths: Dict[str, int] = {}
+    probe = np.zeros((1, n_features), dtype=np.float64)
+    for method in _PROBE_METHODS:
+        bound = getattr(model, method, None)
+        if not callable(bound):
+            continue
+        try:
+            out = np.asarray(bound(probe))
+        except Exception:
+            continue
+        widths[method] = max(1, int(out.reshape(1, -1).shape[1]))
+    return widths
+
+
+class ShardFleet:
+    """Dispatch backend scoring batches on ``n_shards`` worker processes.
+
+    Rows are cast to float64 (the slab dtype) at validation, and a dead
+    worker, a worker-side error or an open shard breaker is always
+    rescued inline, whatever the resilience policy says.
+    """
+
+    rescues: Tuple[Type[BaseException], ...] = (
+        ShardDead, ShardWorkerError, BreakerOpen,
+    )
+    row_dtype: Optional[type] = np.float64
+
+    def __init__(
+        self,
+        server: ModelServer,
+        snapshot: Any,
+        version: str,
+        n_shards: int,
+        n_features: Optional[int],
+        max_batch_size: int,
+        batch_timeout: float,
+        max_queue: int,
+        monitor_interval: float,
+    ) -> None:
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        width = n_features or getattr(snapshot, "n_features", None)
+        if width is None:
+            raise ValueError(
+                "pass n_features= (model does not self-describe its row "
+                "width)"
+            )
+        self.n_features = int(width)
+        out_widths = _probe_methods(snapshot, self.n_features)
+        if not out_widths:
+            raise ValueError(
+                f"model {type(snapshot).__name__} supports none of "
+                f"{_PROBE_METHODS}"
+            )
+        self._metrics = server.metrics
+        self._injector = server.fault_injector
+        self.ring = ConsistentHashRing(
+            n_shards, replicas=RING_REPLICAS, seed=RING_SEED
+        )
+        self._version = version
+        self._swap_lock = threading.Lock()
+        # Workers fork *here*, before any thread below exists.
+        self.supervisor = ShardSupervisor(
+            snapshot,
+            n_shards=n_shards,
+            slots=max_batch_size,
+            n_features=self.n_features,
+            out_width=max(out_widths.values()),
+            version=version,
+            metrics=self._metrics,
+            monitor_interval=monitor_interval,
+        )
+        self._breakers = [
+            CircuitBreaker(
+                name=f"shard{i}",
+                window=16,
+                failure_threshold=0.5,
+                min_calls=4,
+                reset_timeout=0.25,
+                half_open_probes=1,
+                metrics=self._metrics,
+            )
+            for i in range(n_shards)
+        ]
+        self.lanes = [
+            MicroBatcher(
+                functools.partial(server._dispatch, i),
+                max_batch_size=max_batch_size,
+                batch_timeout=batch_timeout,
+                max_queue=max_queue,
+                workers=1,
+            )
+            for i in range(n_shards)
+        ]
+        self.supervisor.start()
+
+    @property
+    def version(self) -> str:
+        """Version every worker has acknowledged."""
+        with self._swap_lock:
+            return self._version
+
+    def row_width(self, model: Any) -> Optional[int]:
+        """The slab width, whatever the model."""
+        return self.n_features
+
+    def route(self, method: str, row: np.ndarray) -> int:
+        """Ring-route a request, skipping dead or breaker-open shards."""
+        alive = self.supervisor.alive_mask()
+        routable = [
+            alive[i] and self._breakers[i].state != "open"
+            for i in range(len(alive))
+        ]
+        key = routing_key(method, np.ascontiguousarray(row).tobytes())
+        return self.ring.route(key, alive=routable)
+
+    def sync(self, version: str, model: Any) -> None:
+        """Move every worker to ``model`` unless already on ``version``.
+
+        A no-op when the fleet is already there, so concurrent callers
+        race harmlessly; when it returns, no worker scores another batch
+        with the previous parameters.
+        """
+        with self._swap_lock:
+            if version == self._version:
+                return
+            self.supervisor.broadcast_swap(version, model)
+            self._version = version
+        add_event("sharded_hot_swap", version=version,
+                  shards=self.supervisor.n_shards)
+
+    def score(
+        self,
+        lane: int,
+        method: str,
+        rows: List[np.ndarray],
+        version: str,
+        model: Any,
+        span: Any,
+    ) -> Tuple[str, Sequence[Any]]:
+        """Score one coalesced batch on shard ``lane``'s worker.
+
+        Runs on that shard's dispatcher thread.  A dead worker raises
+        :class:`~repro.serve.sharding.shm.ShardDead` through the
+        breaker (tripping it) and triggers an eager respawn; the
+        batcher delivers the error to every waiter, whose ``_finish``
+        rescues each row inline.  Returns the version the worker
+        actually scored with — it can lag a concurrent hot-swap by one
+        in-flight batch, and it is what labels the cache entries.
+        """
+        self.sync(version, model)
+        batch = np.ascontiguousarray(np.stack(rows), dtype=np.float64)
+        try:
+            with self._metrics.timer(f"serve/shard/{lane}/dispatch_seconds"):
+                result = self._breakers[lane].call(
+                    self._score_on_worker, lane, method, batch
+                )
+        except ShardDead:
+            add_event("shard_dead", shard=lane)
+            self._metrics.counter(f"serve/shard/{lane}/deaths_total").inc()
+            self.supervisor.respawn(lane)
+            raise
+        if span is not None:
+            span.set_attribute("shard", lane)
+            span.record_child(
+                "serve/worker_score", result.worker_seconds,
+                attributes={"shard": lane},
+            )
+        self._metrics.gauge(f"serve/shard/{lane}/queue_depth").set(
+            self.lanes[lane].depth()
+        )
+        return result.version, [result.row_value(i) for i in range(len(rows))]
+
+    def _score_on_worker(
+        self, lane: int, method: str, batch: np.ndarray
+    ) -> ScoreResult:
+        """One worker round trip, under the ``"model"`` chaos site."""
+        channel = self.supervisor.handles[lane].channel
+        if self._injector is not None:
+            result: ScoreResult = self._injector.call(
+                "model", channel.score, method, batch, DISPATCH_TIMEOUT
+            )
+            return result
+        return channel.score(method, batch, DISPATCH_TIMEOUT)
+
+    def breakers(self) -> List[CircuitBreaker]:
+        """The per-shard breakers, index-aligned with the ring."""
+        return list(self._breakers)
+
+    def shard_statuses(self, version: Optional[str]) -> List[Dict[str, Any]]:
+        """Supervisor view plus each shard's queue depth and breaker."""
+        statuses = self.supervisor.statuses()
+        for status in statuses:
+            shard_id = int(status["shard"])
+            status["queue_depth"] = self.lanes[shard_id].depth()
+            status["breaker"] = self._breakers[shard_id].state
+        return statuses
+
+    def shutdown(self) -> None:
+        """Stop the supervisor and the worker processes."""
+        self.supervisor.close()
+
+
+class ShardedModelServer(ModelServer):
     """Serve ``predict``-family queries across a sharded process fleet.
 
-    Parameters
-    ----------
-    model, registry, name:
-        Exactly one of ``model=`` (fixed snapshot) or ``registry=`` +
-        ``name=`` (live, hot-swappable) — same contract as
-        :class:`~repro.serve.server.ModelServer`.
+    Parameters are those of :class:`~repro.serve.server.ModelServer`
+    (``max_batch_size``, ``batch_timeout`` and ``max_queue`` apply per
+    shard; each shard has one dispatcher thread, so there is no
+    ``workers``), plus:
+
     n_shards:
         Worker process count.
     n_features:
         Row width; defaults to ``model.n_features`` when the model
         self-describes.
-    max_batch_size, batch_timeout, max_queue:
-        Per-shard micro-batching knobs.
-    cache_size:
-        Shared parent-side LRU capacity (hits never touch a worker).
-    resilience:
-        Optional policy whose ``retry`` wraps the parent-side rescue
-        path; per-shard breakers are always created regardless.
-    dispatch_timeout:
-        Seconds a dispatch waits on a *live but silent* worker before
-        declaring the shard dead (a killed worker is detected within
-        one liveness poll, independent of this).
-    mp_context:
-        Start method for workers (``"fork"`` supports unpicklable
-        models; workers are forked before any serving thread starts).
-    seed:
-        Seeds the consistent-hash ring layout.
+    monitor_interval:
+        Seconds between the supervisor's liveness sweeps.
+
+    The fleet's ``supervisor`` (kill/respawn drills use it), its
+    consistent-hash ``ring`` and ``n_shards`` are attributes.
     """
 
     def __init__(
@@ -107,629 +311,59 @@ class ShardedModelServer:
         cache_size: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         resilience: Optional[ResiliencePolicy] = None,
+        fault_injector: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        dispatch_timeout: float = 30.0,
         monitor_interval: float = 0.05,
-        ring_replicas: int = 64,
-        seed: int = repro_rng.REPRO_DEFAULT_SEED,
-        mp_context: str = "fork",
     ) -> None:
-        if (model is None) == (registry is None):
-            raise ValueError("pass exactly one of model= or registry=")
-        if registry is not None and not name:
-            raise ValueError("serving from a registry requires name=")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self._registry = registry
-        self._name = name
-        self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer
-        self.resilience = resilience
-        if self.resilience is not None:
-            self.resilience.bind_metrics(self.metrics)
-        if registry is not None:
-            active = registry.active(name or "")
+        self._fleet_shape = (n_shards, n_features, monitor_interval)
+        super().__init__(
+            model, registry, name, max_batch_size, batch_timeout, max_queue,
+            1, cache_size, metrics, resilience, fault_injector, tracer,
+        )
+
+    def _make_backend(
+        self,
+        max_batch_size: int,
+        batch_timeout: float,
+        max_queue: int,
+        workers: int,
+    ) -> ShardFleet:
+        """Fork the fleet on the active registry snapshot (or ``model``)."""
+        n_shards, n_features, monitor_interval = self._fleet_shape
+        if self._registry is not None:
+            active = self._registry.active(self._name or "")
             version, snapshot = active.version, active.model
         else:
-            version, snapshot = "v0", model
-        self._version = version
-        self._fallback = snapshot
-        width = n_features or getattr(snapshot, "n_features", None)
-        if width is None:
-            raise ValueError(
-                "pass n_features= (model does not self-describe its row "
-                "width)"
-            )
-        self.n_features = int(width)
-        self._out_widths = self._probe_methods(snapshot, self.n_features)
-        if not self._out_widths:
-            raise ValueError(
-                f"model {type(snapshot).__name__} supports none of "
-                f"{_PROBE_METHODS}"
-            )
-        out_width = max(self._out_widths.values())
-        integrity = (
-            self.resilience.cache_integrity
-            if self.resilience is not None else False
+            version, snapshot = "v0", self._model
+        fleet = ShardFleet(
+            self, snapshot, version, n_shards, n_features, max_batch_size,
+            batch_timeout, max_queue, monitor_interval,
         )
-        self.cache = PredictionCache(cache_size, integrity=integrity)
-        self.ring = ConsistentHashRing(
-            n_shards, replicas=ring_replicas, seed=seed
-        )
-        self.dispatch_timeout = float(dispatch_timeout)
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._swap_lock = threading.Lock()
-        # Workers fork *here*, before any thread below exists.
-        self.supervisor = ShardSupervisor(
-            snapshot,
-            n_shards=n_shards,
-            slots=max_batch_size,
-            n_features=self.n_features,
-            out_width=out_width,
-            version=version,
-            metrics=self.metrics,
-            monitor_interval=monitor_interval,
-            mp_context=mp_context,
-        )
-        self._breakers = [
-            CircuitBreaker(
-                name=f"shard{i}",
-                window=16,
-                failure_threshold=0.5,
-                min_calls=4,
-                reset_timeout=0.25,
-                half_open_probes=1,
-                metrics=self.metrics,
-            )
-            for i in range(n_shards)
-        ]
-        self._batchers = [
-            MicroBatcher(
-                self._make_dispatch(i),
-                max_batch_size=max_batch_size,
-                batch_timeout=batch_timeout,
-                max_queue=max_queue,
-                workers=1,
-            )
-            for i in range(n_shards)
-        ]
-        self.supervisor.start()
-
-    @staticmethod
-    def _probe_methods(model: Any, n_features: int) -> Dict[str, int]:
-        """Per-method output width, probed once on a zero row."""
-        widths: Dict[str, int] = {}
-        probe = np.zeros((1, n_features), dtype=np.float64)
-        for method in _PROBE_METHODS:
-            bound = getattr(model, method, None)
-            if not callable(bound):
-                continue
-            try:
-                out = np.asarray(bound(probe))
-            except Exception:
-                continue
-            widths[method] = max(1, int(out.reshape(1, -1).shape[1]))
-        return widths
-
-    @property
-    def registry(self) -> Optional[ModelRegistry]:
-        """The backing registry, if serving live models (else ``None``)."""
-        return self._registry
-
-    @property
-    def n_shards(self) -> int:
-        """Size of the worker fleet."""
-        return self.supervisor.n_shards
+        self._fleet = fleet
+        self.supervisor = fleet.supervisor
+        self.ring = fleet.ring
+        self.n_shards = n_shards
+        return fleet
 
     @property
     def version(self) -> str:
-        """Version label requests are currently served under."""
-        with self._swap_lock:
-            return self._version
-
-    def _fallback_type_name(self) -> str:
-        """Type name of the inline-fallback model (hot-swap safe read)."""
-        with self._swap_lock:
-            return type(self._fallback).__name__
-
-    # ------------------------------------------------------------------
-    # Public request API
-    # ------------------------------------------------------------------
-    def predict(self, row: np.ndarray, deadline: Optional[float] = None) -> Any:
-        """Hard label for one sample (blocking)."""
-        return self.request("predict", row, deadline=deadline)
-
-    def predict_proba(
-        self, row: np.ndarray, deadline: Optional[float] = None
-    ) -> Any:
-        """Probability output for one sample (blocking)."""
-        return self.request("predict_proba", row, deadline=deadline)
-
-    def decision_function(
-        self, row: np.ndarray, deadline: Optional[float] = None
-    ) -> Any:
-        """Raw score for one sample (blocking)."""
-        return self.request("decision_function", row, deadline=deadline)
-
-    def request(
-        self, method: str, row: np.ndarray, deadline: Optional[float] = None
-    ) -> Any:
-        """Score one sample via ``method`` on its ring-assigned shard.
-
-        Degradations mirror the single-process server: a full shard
-        queue sheds to the parent's inline path, an expired deadline
-        cancels and answers inline, and a batch stranded by a worker
-        death is rescued inline — the caller always gets an answer.
-        """
-        clock = self.metrics.clock
-        start = clock()
-        if self.closed:
-            raise ServerClosed()
-        with self._start_span("serve/request", method=method) as span:
-            row = self._normalize_row(row)
-            if method not in self._out_widths:
-                raise ValueError(
-                    f"model {self._fallback_type_name()} does not "
-                    f"support {method!r}"
-                )
-            version = self._current_version()
-            span.set_attribute("version", version)
-            self.metrics.counter("serve/requests_total").inc()
-
-            key = None
-            if self.cache.maxsize:
-                key = PredictionCache.make_key(method, version, row)
-                hit, value = self.cache.get(key)
-                if hit:
-                    span.event("cache_hit")
-                    self.metrics.counter("serve/cache_hits_total").inc()
-                    self._observe_latency(clock() - start)
-                    return value
-                span.event("cache_miss")
-                self.metrics.counter("serve/cache_misses_total").inc()
-
-            shard = self._route(method, row)
-            span.set_attribute("shard", shard)
-            pending = ServeRequest(
-                method, row, enqueued_at=start,
-                context=self._capture_context(),
-            )
-            if not self._batchers[shard].submit(pending):
-                span.event("shed", reason="queue_full", shard=shard)
-                self.metrics.counter("serve/shed_total").inc()
-                return self._predict_inline(method, row, key, start)
-            self._gauge_depth()
-
-            if pending.event.wait(timeout=deadline):
-                return self._finish(pending, start)
-            if self._batchers[shard].cancel(pending):
-                span.event("deadline_expired", shard=shard)
-                self.metrics.counter("serve/deadline_expired_total").inc()
-                return self._predict_inline(method, row, key, start)
-            pending.event.wait()
-            return self._finish(pending, start)
-
-    def predict_many(
-        self, x: np.ndarray, method: str = "predict"
-    ) -> List[Any]:
-        """Submit every row of ``x`` concurrently across the fleet.
-
-        Rows are partitioned by ring assignment and bulk-enqueued per
-        shard; results come back in row order.  Rows a full shard queue
-        rejects are shed to the inline path, rows stranded by a worker
-        death are rescued inline — every row is answered.
-        """
-        if self.closed:
-            raise ServerClosed()
-        clock = self.metrics.clock
-        with self._start_span(
-            "serve/predict_many", method=method, rows=len(x)
-        ) as span:
-            if method not in self._out_widths:
-                raise ValueError(
-                    f"model {self._fallback_type_name()} does not "
-                    f"support {method!r}"
-                )
-            version = self._current_version()
-            span.set_attribute("version", version)
-            caching = bool(self.cache.maxsize)
-            requests_total = self.metrics.counter("serve/requests_total")
-            results: List[Any] = [None] * len(x)
-            buckets: Dict[int, List[Tuple[int, ServeRequest]]] = (
-                defaultdict(list)
-            )
-            for index, raw_row in enumerate(x):
-                start = clock()
-                row = self._normalize_row(raw_row)
-                requests_total.inc()
-                if caching:
-                    key = PredictionCache.make_key(method, version, row)
-                    hit, value = self.cache.get(key)
-                    if hit:
-                        self.metrics.counter("serve/cache_hits_total").inc()
-                        self._observe_latency(clock() - start)
-                        results[index] = value
-                        continue
-                    self.metrics.counter("serve/cache_misses_total").inc()
-                shard = self._route(method, row)
-                buckets[shard].append(
-                    (index,
-                     ServeRequest(method, row, enqueued_at=start,
-                                  context=self._capture_context()))
-                )
-            waiting: List[Tuple[int, ServeRequest]] = []
-            for shard, pairs in buckets.items():
-                accepted = self._batchers[shard].submit_many(
-                    [request for _index, request in pairs]
-                )
-                if accepted < len(pairs):
-                    span.event(
-                        "shed", reason="queue_full", shard=shard,
-                        rows=len(pairs) - accepted,
-                    )
-                for index, request in pairs[accepted:]:
-                    self.metrics.counter("serve/shed_total").inc()
-                    key = (
-                        PredictionCache.make_key(method, version, request.row)
-                        if caching else None
-                    )
-                    results[index] = self._predict_inline(
-                        method, request.row, key, request.enqueued_at
-                    )
-                waiting.extend(pairs[:accepted])
-            self._gauge_depth()
-            for index, request in waiting:
-                request.event.wait()
-                results[index] = self._finish(request, request.enqueued_at)
-            return results
-
-    # ------------------------------------------------------------------
-    # Routing / version management
-    # ------------------------------------------------------------------
-    def _route(self, method: str, row: np.ndarray) -> int:
-        """Ring-route a request, skipping dead or breaker-open shards."""
-        alive = self.supervisor.alive_mask()
-        routable = [
-            alive[i] and self._breakers[i].state != "open"
-            for i in range(len(alive))
-        ]
-        key = routing_key(method, np.ascontiguousarray(row).tobytes())
-        return self.ring.route(key, alive=routable)
-
-    def _current_version(self) -> str:
-        """Serving version; triggers hot-swap when the registry moved on."""
-        registry = self._registry
-        if registry is None:
-            return self.version
-        manifest_version = registry.active_version(self._name or "")
-        current = self.version
-        if manifest_version is not None and manifest_version != current:
-            return self.hot_swap(manifest_version)
-        return current
+        """Version every worker has acknowledged."""
+        return self._fleet.version
 
     def hot_swap(self, version: Optional[str] = None) -> str:
-        """Atomically move the whole fleet (and the fallback) to ``version``.
+        """Atomically move the whole fleet to ``version`` now.
 
         ``None`` means the registry's currently active version.  Returns
-        the version actually installed.  A no-op when the fleet is
-        already there, so concurrent callers race harmlessly.
+        the version installed.  Without this call the fleet follows the
+        registry on the next dispatched batch.
         """
         registry = self._registry
         if registry is None:
             raise RuntimeError("hot_swap requires a registry-backed server")
-        with self._swap_lock:
-            target = version or registry.active_version(self._name or "")
-            if target is None:
-                raise KeyError(
-                    f"model {self._name!r} has no active version"
-                )
-            if target == self._version:
-                return self._version
-            model = registry.load(self._name or "", target)
-            self.supervisor.broadcast_swap(target, model)
-            self._fallback = model
-            self._version = target
-        add_event("sharded_hot_swap", version=target,
-                  shards=self.n_shards)
+        name = self._name or ""
+        target = version or registry.active_version(name)
+        if target is None:
+            raise KeyError(f"model {name!r} has no active version")
+        if target != self.version:
+            self._fleet.sync(target, registry.load(name, target))
         return target
-
-    # ------------------------------------------------------------------
-    # Dispatch internals
-    # ------------------------------------------------------------------
-    def _make_dispatch(self, shard_id: int) -> Any:
-        """Bind ``shard_id`` into a MicroBatcher dispatch callable."""
-        def dispatch(method: str, rows: List[np.ndarray]) -> List[Any]:
-            return self._shard_dispatch(shard_id, method, rows)
-        return dispatch
-
-    def _shard_dispatch(
-        self, shard_id: int, method: str, rows: List[np.ndarray]
-    ) -> List[Any]:
-        """Score one coalesced batch on shard ``shard_id``'s worker.
-
-        Runs on that shard's dispatcher thread.  A dead worker raises
-        :class:`~repro.serve.sharding.shm.ShardDead` through the
-        breaker (tripping it), triggers an eager respawn, and the
-        batcher delivers the error to every waiter — whose ``_finish``
-        rescues each row inline.
-        """
-        traced = tracing.current_span() is not None
-        with (
-            self._start_span(
-                "serve/shard_dispatch", method=method,
-                batch_size=len(rows), shard=shard_id,
-            )
-            if traced
-            else contextlib.nullcontext()
-        ) as span:
-            handle = self.supervisor.handles[shard_id]
-            batch = np.ascontiguousarray(np.stack(rows), dtype=np.float64)
-            try:
-                with self.metrics.timer("serve/dispatch_seconds"):
-                    with self.metrics.timer(
-                        f"serve/shard/{shard_id}/dispatch_seconds"
-                    ):
-                        result = self._breakers[shard_id].call(
-                            handle.channel.score, method, batch,
-                            self.dispatch_timeout,
-                        )
-            except ShardDead:
-                add_event("shard_dead", shard=shard_id)
-                self.metrics.counter(
-                    f"serve/shard/{shard_id}/deaths_total"
-                ).inc()
-                self.supervisor.respawn(shard_id)
-                raise
-            if span is not None and traced:
-                span.record_child(
-                    "serve/worker_score", result.worker_seconds,
-                    attributes={"shard": shard_id},
-                )
-        self.metrics.counter("serve/batches_total").inc()
-        self.metrics.counter(
-            f"serve/shard/{shard_id}/batches_total"
-        ).inc()
-        self.metrics.counter(
-            f"serve/shard/{shard_id}/requests_total"
-        ).inc(float(len(rows)))
-        self.metrics.histogram("serve/batch_size").observe(len(rows))
-        self._gauge_depth()
-        values = [result.row_value(i) for i in range(len(rows))]
-        if self.cache.maxsize:
-            for row, value in zip(rows, values):
-                try:
-                    self.cache.put(
-                        PredictionCache.make_key(
-                            method, result.version, row
-                        ),
-                        value,
-                    )
-                except Exception:
-                    self.metrics.counter(
-                        "resilience/cache_errors_total"
-                    ).inc()
-        return values
-
-    def _predict_inline(
-        self,
-        method: str,
-        row: np.ndarray,
-        key: Optional[bytes],
-        start: float,
-    ) -> Any:
-        """Parent-side single-row path: shed, expired and rescued requests.
-
-        Scores on the parent's own snapshot of the current version —
-        the guarantee that no request is ever dropped, even with the
-        whole fleet dead mid-respawn.
-        """
-        with self._start_span("serve/inline_predict", method=method):
-            with self._swap_lock:
-                bound = getattr(self._fallback, method)
-            policy = self.resilience
-            if policy is not None:
-                out = policy.retry.call(bound, row[np.newaxis, ...])
-            else:
-                out = bound(row[np.newaxis, ...])
-            result = list(np.asarray(out))[0]
-        if key is not None:
-            try:
-                self.cache.put(key, result)
-            except Exception:
-                self.metrics.counter("resilience/cache_errors_total").inc()
-        self._observe_latency(self.metrics.clock() - start)
-        return result
-
-    def _finish(self, request: ServeRequest, start: float) -> Any:
-        """Deliver a result, rescuing rows whose shard died mid-batch."""
-        if request.error is not None:
-            error = request.error
-            if isinstance(error, (ShardDead, ShardWorkerError, BreakerOpen)):
-                add_event("row_rescue", error=type(error).__name__)
-                self.metrics.counter("serve/rescued_total").inc()
-                key = (
-                    PredictionCache.make_key(
-                        request.method, self.version, request.row
-                    )
-                    if self.cache.maxsize
-                    else None
-                )
-                return self._predict_inline(
-                    request.method, request.row, key, start
-                )
-            self._observe_latency(self.metrics.clock() - start)
-            raise error
-        self._observe_latency(self.metrics.clock() - start)
-        return request.result
-
-    # ------------------------------------------------------------------
-    # Shared helpers (parity with ModelServer)
-    # ------------------------------------------------------------------
-    def _start_span(self, name: str, **attributes: Any) -> Any:
-        """Span on this server's tracer or the ambient one (else inert)."""
-        return tracing.start_span(
-            name, attributes=attributes or None, tracer=self.tracer
-        )
-
-    def _capture_context(self) -> Optional[contextvars.Context]:
-        """Submit-time context snapshot, only when the span is sampled."""
-        active = tracing.current_span()
-        if active is not None and active.sampled:
-            return contextvars.copy_context()
-        return None
-
-    def _normalize_row(self, row: np.ndarray) -> np.ndarray:
-        """Squeeze a length-1 batch axis and cast to the slab dtype."""
-        row = np.asarray(row)
-        if row.ndim >= 2 and row.shape[0] == 1:
-            row = row[0]
-        row = np.ascontiguousarray(row, dtype=np.float64)
-        if row.shape != (self.n_features,):
-            raise ValueError(
-                f"expected a ({self.n_features},) row, got {row.shape}"
-            )
-        return row
-
-    def _observe_latency(self, seconds: float) -> None:
-        self.metrics.histogram("serve/latency_seconds").observe(seconds)
-
-    def _gauge_depth(self) -> None:
-        depth = sum(batcher.depth() for batcher in self._batchers)
-        self.metrics.gauge("serve/queue_depth").set(depth)
-        for shard_id, batcher in enumerate(self._batchers):
-            self.metrics.gauge(
-                f"serve/shard/{shard_id}/queue_depth"
-            ).set(batcher.depth())
-
-    # ------------------------------------------------------------------
-    # Lifecycle / introspection
-    # ------------------------------------------------------------------
-    def close(self, drain: bool = True) -> None:
-        """Drain (or fail) queued requests, then stop the fleet."""
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        for batcher in self._batchers:
-            batcher.close(drain=drain)
-        self.supervisor.close()
-
-    def __enter__(self) -> "ShardedModelServer":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has begun; closed servers reject requests."""
-        with self._close_lock:
-            return self._closed
-
-    def health(self) -> Dict[str, Any]:
-        """Operator probe with the per-shard status list.
-
-        ``status`` is ``"ok"`` only when every shard is alive with a
-        closed breaker; any dead worker, open breaker or mid-respawn
-        shard reports ``"degraded"`` (requests still succeed via
-        re-routing and the inline fallback) — a half-dead fleet is
-        never mistaken for a healthy one.  Each ``shards`` entry
-        carries ``alive``, ``queue_depth``, ``active_version``,
-        ``respawns`` and the shard's breaker state.
-        """
-        statuses = self.supervisor.statuses()
-        for status in statuses:
-            shard_id = int(status["shard"])
-            status["queue_depth"] = self._batchers[shard_id].depth()
-            status["breaker"] = self._breakers[shard_id].state
-        alive = sum(1 for status in statuses if status["alive"])
-        breakers = {
-            f"shard{i}": breaker.state
-            for i, breaker in enumerate(self._breakers)
-        }
-        depth = sum(int(status["queue_depth"]) for status in statuses)
-        capacity = sum(batcher.max_queue for batcher in self._batchers)
-        closed_now = self.closed
-        if closed_now:
-            overall = "closed"
-        elif alive == len(statuses) and all(
-            state == "closed" for state in breakers.values()
-        ):
-            overall = "ok"
-        else:
-            overall = "degraded"
-        return {
-            "status": overall,
-            "closed": closed_now,
-            "n_shards": self.n_shards,
-            "alive_shards": alive,
-            "queue_depth": depth,
-            "queue_capacity": capacity,
-            "queue_saturation": depth / capacity if capacity else 0.0,
-            "cache": self.cache.stats(),
-            "breakers": breakers,
-            "active_model": {
-                "name": self._name or self._fallback_type_name(),
-                "version": self.version,
-                "stale": False,
-            },
-            "shards": statuses,
-        }
-
-    def ready(self) -> bool:
-        """Readiness: open for requests with an answerable model.
-
-        True while the server is open — even a fully dead fleet still
-        answers via the parent fallback — so readiness only gates
-        shutdown, while :meth:`health` grades degradation.
-        """
-        return not self.closed
-
-    def stats(self) -> Dict[str, Any]:
-        """Derived serving stats, including the per-shard request split."""
-        snapshot = self.metrics.snapshot()
-        counters = snapshot["counters"]
-        batch_hist = self.metrics.histogram("serve/batch_size")
-        latency_hist = self.metrics.histogram("serve/latency_seconds")
-        per_shard = {
-            str(i): counters.get(f"serve/shard/{i}/requests_total", 0.0)
-            for i in range(self.n_shards)
-        }
-        stats: Dict[str, Any] = {
-            "requests": counters.get("serve/requests_total", 0.0),
-            "batches": counters.get("serve/batches_total", 0.0),
-            "shed": counters.get("serve/shed_total", 0.0),
-            "deadline_expired": counters.get(
-                "serve/deadline_expired_total", 0.0
-            ),
-            "rescued": counters.get("serve/rescued_total", 0.0),
-            "respawns": sum(
-                handle.respawns for handle in self.supervisor.handles
-            ),
-            "shard_requests": per_shard,
-            "cache_hit_rate": self.cache.hit_rate,
-            "mean_batch_size": (
-                batch_hist.mean if batch_hist.count else 0.0
-            ),
-            "metrics": snapshot,
-        }
-        if latency_hist.count:
-            stats["latency_p50_ms"] = latency_hist.quantile(0.5) * 1e3
-            stats["latency_p99_ms"] = latency_hist.quantile(0.99) * 1e3
-        return stats
-
-    def __repr__(self) -> str:
-        target = (
-            f"registry:{self._name}" if self._registry is not None
-            else self._fallback_type_name()
-        )
-        return (
-            f"ShardedModelServer({target}, shards={self.n_shards}, "
-            f"version={self.version!r}, closed={self.closed})"
-        )

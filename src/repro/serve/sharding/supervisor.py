@@ -50,6 +50,10 @@ MONITOR_INTERVAL = 0.05
 #: Default seconds to wait for a swap/stop acknowledgement.
 CONTROL_TIMEOUT = 30.0
 
+#: Worker start method: ``"fork"`` supports unpicklable models, and
+#: every initial fork happens before the server starts any thread.
+MP_CONTEXT = "fork"
+
 
 class ShardHandle:
     """One shard's channel + current process incarnation."""
@@ -90,9 +94,6 @@ class ShardSupervisor:
         Registry for per-shard liveness/respawn instruments.
     monitor_interval:
         Seconds between liveness sweeps.
-    mp_context:
-        Multiprocessing start method; ``"fork"`` (default) supports
-        unpicklable models and is what the tests and benchmarks use.
     """
 
     def __init__(
@@ -106,7 +107,6 @@ class ShardSupervisor:
         metrics: Optional[MetricsRegistry] = None,
         monitor_interval: float = MONITOR_INTERVAL,
         control_timeout: float = CONTROL_TIMEOUT,
-        mp_context: str = "fork",
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -114,7 +114,7 @@ class ShardSupervisor:
         self.monitor_interval = float(monitor_interval)
         self.control_timeout = float(control_timeout)
         self.metrics = metrics
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(MP_CONTEXT)
         self._model = model
         self._lock = threading.Lock()
         self._last_version = version
@@ -253,7 +253,7 @@ class ShardSupervisor:
         return [handle.alive for handle in self.handles]
 
     def statuses(self) -> List[Dict[str, Any]]:
-        """Per-shard operator view (feeds ``ShardedModelServer.health``)."""
+        """Per-shard operator view (feeds ``ShardFleet.shard_statuses``)."""
         return [
             {
                 "shard": handle.shard_id,

@@ -83,6 +83,13 @@ def test_predict_batched_matches_full(rng):
     assert np.array_equal(net.predict(x, batch_size=7), net.predict(x))
 
 
+def test_n_features_is_the_first_dense_layer_width():
+    assert tiny_mlp().n_features == 8
+    assert alex_cifar10().n_features is None  # conv input: no row width
+    with pytest.raises(AttributeError):
+        tiny_mlp().n_features = 3
+
+
 def test_empty_network_rejected():
     with pytest.raises(ValueError):
         Network([])

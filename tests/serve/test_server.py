@@ -1,4 +1,8 @@
-"""Micro-batching equivalence, caching, backpressure and lifecycle."""
+"""Micro-batching equivalence, caching, backpressure and lifecycle.
+
+Tests taking the ``backend`` fixture hold for every dispatch backend;
+``test_sharding.py`` runs them again on the shard fleet.
+"""
 
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +11,14 @@ import numpy as np
 import pytest
 
 from repro.linear.logistic import LogisticRegression
-from repro.serve import MicroBatcher, ModelRegistry, ModelServer, PredictionCache
+from repro.serve import (
+    FaultInjector,
+    FaultProfile,
+    InvalidRequest,
+    MicroBatcher,
+    ModelRegistry,
+    PredictionCache,
+)
 
 D = 12
 
@@ -27,6 +38,7 @@ class SlowModel:
 
     def __init__(self, inner, delay=0.01):
         self.inner = inner
+        self.n_features = inner.n_features
         self.delay = delay
         self.calls = 0
 
@@ -39,36 +51,36 @@ class SlowModel:
 # ----------------------------------------------------------------------
 # Batching equivalence
 # ----------------------------------------------------------------------
-def test_microbatched_predictions_bit_identical(model, x):
+def test_microbatched_predictions_bit_identical(backend, model, x):
     """Coalesced labels must equal per-request labels bit for bit."""
     per_request = np.array([model.predict(row)[0] for row in x])
-    with ModelServer(model=model, max_batch_size=16, cache_size=0) as server:
+    with backend(model=model, max_batch_size=16, cache_size=0) as server:
         batched = np.array(server.predict_many(x))
         assert server.stats()["mean_batch_size"] > 1.0  # really coalesced
     assert batched.dtype == per_request.dtype
     assert np.array_equal(batched, per_request)
 
 
-def test_microbatched_probabilities_match_per_request(model, x):
+def test_microbatched_probabilities_match_per_request(backend, model, x):
     # Probabilities agree to reduction-order precision (the batch shape
     # changes the BLAS summation order, so bitwise equality is not
     # guaranteed — labels are covered by the bit-identical test above).
     per_request = np.array([model.predict_proba(row)[0] for row in x])
-    with ModelServer(model=model, max_batch_size=16, cache_size=0) as server:
+    with backend(model=model, max_batch_size=16, cache_size=0) as server:
         batched = np.array(server.predict_many(x, method="predict_proba"))
     np.testing.assert_allclose(batched, per_request, rtol=0.0, atol=1e-12)
 
 
-def test_concurrent_single_requests_equivalent(model, x):
+def test_concurrent_single_requests_equivalent(backend, model, x):
     expected = model.predict(x)
-    with ModelServer(model=model, max_batch_size=8) as server:
+    with backend(model=model, max_batch_size=8) as server:
         with ThreadPoolExecutor(max_workers=12) as pool:
             got = np.array(list(pool.map(server.predict, x)))
     assert np.array_equal(got, expected)
 
 
-def test_single_row_accepts_1d_and_1xn(model, x):
-    with ModelServer(model=model) as server:
+def test_single_row_accepts_1d_and_1xn(backend, model, x):
+    with backend(model=model) as server:
         a = server.predict(x[0])
         b = server.predict(x[0][np.newaxis, :])
         assert a == b == model.predict(x[:1])[0]
@@ -76,8 +88,8 @@ def test_single_row_accepts_1d_and_1xn(model, x):
         assert np.isclose(score, model.decision_function(x[:1])[0])
 
 
-def test_mixed_methods_route_correctly(model, x):
-    with ModelServer(model=model, cache_size=0) as server:
+def test_mixed_methods_route_correctly(backend, model, x):
+    with backend(model=model, cache_size=0) as server:
         with ThreadPoolExecutor(max_workers=8) as pool:
             labels = pool.map(server.predict, x[:20])
             probas = pool.map(server.predict_proba, x[:20])
@@ -88,17 +100,17 @@ def test_mixed_methods_route_correctly(model, x):
     )
 
 
-def test_unsupported_method_rejected(model, x):
-    with ModelServer(model=model) as server:
-        with pytest.raises(ValueError):
+def test_unsupported_method_rejected(backend, model, x):
+    with backend(model=model) as server:
+        with pytest.raises(ValueError, match="does not support"):
             server.request("decision_boundary", x[0])
 
 
 # ----------------------------------------------------------------------
 # Prediction cache
 # ----------------------------------------------------------------------
-def test_cache_hits_and_counters(model, x):
-    with ModelServer(model=model) as server:
+def test_cache_hits_and_counters(backend, model, x):
+    with backend(model=model) as server:
         first = server.predict(x[0])
         second = server.predict(x[0])
         assert first == second
@@ -127,14 +139,14 @@ def test_cache_lru_eviction():
     assert len(cache) == 2
 
 
-def test_hot_swap_invalidates_cache_by_key():
+def test_hot_swap_invalidates_cache_by_key(backend):
     registry = ModelRegistry()
     registry.register("m", lambda: LogisticRegression(D, weight_init_std=0.0))
     m1 = LogisticRegression(D, rng=np.random.default_rng(3))
     m2 = LogisticRegression(D, rng=np.random.default_rng(4))
     registry.publish("m", m1)
     row = np.random.default_rng(5).normal(size=D)
-    with ModelServer(registry=registry, name="m") as server:
+    with backend(registry=registry, name="m") as server:
         before = server.predict_proba(row)
         assert np.isclose(before, m1.predict_proba(row)[0])
         registry.publish("m", m2)  # hot-swap; old cache entries unreachable
@@ -145,9 +157,9 @@ def test_hot_swap_invalidates_cache_by_key():
 # ----------------------------------------------------------------------
 # Backpressure, deadlines, degradation
 # ----------------------------------------------------------------------
-def test_saturation_sheds_without_errors(model, x):
+def test_saturation_sheds_without_errors(backend, model, x):
     slow = SlowModel(model, delay=0.02)
-    server = ModelServer(
+    server = backend(
         model=slow, max_batch_size=4, max_queue=4, workers=1,
         batch_timeout=0.0, cache_size=0,
     )
@@ -184,9 +196,9 @@ def test_queue_bound_is_respected():
     batcher.close()
 
 
-def test_deadline_expiry_degrades_to_inline(model, x):
+def test_deadline_expiry_degrades_to_inline(backend, model, x):
     slow = SlowModel(model, delay=0.05)
-    server = ModelServer(
+    server = backend(
         model=slow, max_batch_size=2, max_queue=64, workers=1,
         batch_timeout=0.0, cache_size=0,
     )
@@ -202,12 +214,18 @@ def test_deadline_expiry_degrades_to_inline(model, x):
     assert stats["deadline_expired"] > 0
 
 
-def test_dispatch_errors_propagate_to_callers(x):
+def test_dispatch_errors_propagate_to_callers(backend, x):
     class Exploding:
-        def predict(self, batch):
-            raise RuntimeError("kaboom")
+        """Answers the all-zero probe a shard fleet sends, then explodes."""
 
-    with ModelServer(model=Exploding(), cache_size=0) as server:
+        n_features = D
+
+        def predict(self, batch):
+            if batch.any():
+                raise RuntimeError("kaboom")
+            return np.zeros(len(batch), dtype=np.int64)
+
+    with backend(model=Exploding(), cache_size=0) as server:
         with pytest.raises(RuntimeError, match="kaboom"):
             server.predict(x[0])
 
@@ -215,8 +233,8 @@ def test_dispatch_errors_propagate_to_callers(x):
 # ----------------------------------------------------------------------
 # Lifecycle and metrics accounting
 # ----------------------------------------------------------------------
-def test_close_drains_and_further_requests_rejected(model, x):
-    server = ModelServer(model=model, cache_size=0)
+def test_close_drains_and_further_requests_rejected(backend, model, x):
+    server = backend(model=model, cache_size=0)
     assert server.predict(x[0]) == model.predict(x[:1])[0]
     server.close()
     server.close()  # idempotent
@@ -227,8 +245,8 @@ def test_close_drains_and_further_requests_rejected(model, x):
         server.predict_many(x[:2])
 
 
-def test_metrics_account_for_every_request(model, x):
-    with ModelServer(model=model, max_batch_size=8, cache_size=0) as server:
+def test_metrics_account_for_every_request(backend, model, x):
+    with backend(model=model, max_batch_size=8, cache_size=0) as server:
         server.predict_many(x)
         snapshot = server.stats()
     counters = snapshot["metrics"]["counters"]
@@ -241,10 +259,81 @@ def test_metrics_account_for_every_request(model, x):
     assert "latency_p50_ms" in snapshot and "latency_p99_ms" in snapshot
 
 
-def test_registry_server_requires_name(model):
+def test_registry_server_requires_name(backend, model):
     with pytest.raises(ValueError):
-        ModelServer(model=model, registry=ModelRegistry())
+        backend(model=model, registry=ModelRegistry())
     with pytest.raises(ValueError):
-        ModelServer(registry=ModelRegistry())
+        backend(registry=ModelRegistry())
     with pytest.raises(ValueError):
-        ModelServer()
+        backend()
+
+
+# ----------------------------------------------------------------------
+# Boundary validation
+# ----------------------------------------------------------------------
+def test_wrong_width_row_fails_alone_in_its_batch(backend, model, x):
+    """A 13-wide row among four good ones must not fail its neighbours."""
+    server = backend(model=model, batch_timeout=0.05, cache_size=0)
+    rows = list(x[:4]) + [np.ones(D + 1)]
+
+    def call(row):
+        try:
+            return server.predict(row)
+        except InvalidRequest as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=len(rows)) as pool:
+        got = list(pool.map(call, rows))
+    assert got[:4] == list(model.predict(x[:4]))
+    assert isinstance(got[4], InvalidRequest)
+    assert got[4].reason == "shape"
+    counters = server.stats()["metrics"]["counters"]
+    assert counters["serve/rejected/shape_total"] == 1
+    assert counters["serve/requests_total"] == 4
+
+
+@pytest.mark.parametrize(
+    "reason, bad_row",
+    [
+        ("shape", np.zeros(D + 1)),
+        ("dtype", np.array(["0.5"] * D)),
+        ("non_finite", np.r_[np.zeros(D - 1), np.nan]),
+    ],
+)
+def test_invalid_row_raises_typed_error_and_counts(
+    backend, model, x, reason, bad_row
+):
+    server = backend(model=model)
+    with pytest.raises(InvalidRequest) as info:
+        server.predict(bad_row)
+    assert info.value.reason == reason
+    # predict_many checks the whole array up front: nothing is queued.
+    with pytest.raises(InvalidRequest):
+        server.predict_many(np.stack([x[0], bad_row]) if reason != "shape"
+                            else [x[0], bad_row, x[1]])
+    counters = server.stats()["metrics"]["counters"]
+    assert counters[f"serve/rejected/{reason}_total"] >= 2
+    assert counters.get("serve/requests_total", 0.0) == 0
+    assert server.predict(x[0]) == model.predict(x[:1])[0]
+
+
+def test_registry_outage_serves_stale_and_health_says_so(backend, model, x):
+    registry = ModelRegistry()
+    registry.register("m", lambda: LogisticRegression(D, weight_init_std=0.0))
+    version = registry.publish("m", model)
+    injector = FaultInjector(seed=2018)
+    server = backend(
+        registry=registry, name="m", cache_size=0, fault_injector=injector,
+    )
+    assert server.predict(x[0]) == model.predict(x[:1])[0]
+    assert server.health()["active_model"]["stale"] is False
+    injector.profiles["registry"] = FaultProfile(error_rate=1.0)
+    got = [server.predict(row) for row in x[1:5]]
+    assert got == list(model.predict(x[1:5]))
+    health = server.health()
+    assert health["active_model"] == {
+        "name": "m", "version": version, "stale": True,
+    }
+    assert health["status"] == "degraded"
+    assert server.stats()["stale_model_served"] > 0
+    assert server.ready()

@@ -1,4 +1,10 @@
-"""Sharded tier: equivalence, chaos recovery, hot-swap, health."""
+"""Sharded tier: routing, chaos recovery, hot-swap, health.
+
+The backend-independent expectations of ``test_server.py`` and
+``test_tracing.py`` run here a second time, on the shard fleet
+(``BACKEND`` selects it for the ``backend`` fixture in conftest.py).
+This module adds only what is particular to the fleet.
+"""
 
 import time
 
@@ -8,7 +14,37 @@ import pytest
 from repro.linear.logistic import LogisticRegression
 from repro.serve import ModelRegistry, ModelServer, ServerClosed
 from repro.serve.sharding import ShardedModelServer
+# Collected a second time here, on the fleet.
+from test_server import (
+    test_cache_hits_and_counters,  # noqa: F401
+    test_close_drains_and_further_requests_rejected,  # noqa: F401
+    test_concurrent_single_requests_equivalent,  # noqa: F401
+    test_deadline_expiry_degrades_to_inline,  # noqa: F401
+    test_dispatch_errors_propagate_to_callers,  # noqa: F401
+    test_hot_swap_invalidates_cache_by_key,  # noqa: F401
+    test_invalid_row_raises_typed_error_and_counts,  # noqa: F401
+    test_metrics_account_for_every_request,  # noqa: F401
+    test_microbatched_predictions_bit_identical,  # noqa: F401
+    test_microbatched_probabilities_match_per_request,  # noqa: F401
+    test_mixed_methods_route_correctly,  # noqa: F401
+    test_registry_outage_serves_stale_and_health_says_so,  # noqa: F401
+    test_registry_server_requires_name,  # noqa: F401
+    test_saturation_sheds_without_errors,  # noqa: F401
+    test_single_row_accepts_1d_and_1xn,  # noqa: F401
+    test_unsupported_method_rejected,  # noqa: F401
+    test_wrong_width_row_fails_alone_in_its_batch,  # noqa: F401
+)
+from test_tracing import (
+    test_breaker_transition_becomes_span_event,  # noqa: F401
+    test_cache_hit_is_an_event_on_the_request_span,  # noqa: F401
+    test_chaos_retry_and_stale_fallback_reconstructable,  # noqa: F401
+    test_concurrent_requests_get_distinct_traces,  # noqa: F401
+    test_request_and_dispatch_share_one_trace,  # noqa: F401
+    test_unsampled_requests_export_nothing,  # noqa: F401
+    test_untraced_server_works_identically,  # noqa: F401
+)
 
+BACKEND = "sharded"
 D = 12
 
 
@@ -42,28 +78,13 @@ def _wait_for(predicate, timeout=5.0):
 
 
 # ----------------------------------------------------------------------
-# Equivalence with the direct model
+# Routing
 # ----------------------------------------------------------------------
-def test_sharded_labels_bit_identical(server, model, x):
-    got = np.asarray(server.predict_many(x))
-    assert np.array_equal(got, model.predict(x))
-
-
-def test_sharded_probabilities_match(server, model, x):
-    got = np.asarray(server.predict_many(x, method="predict_proba"))
-    np.testing.assert_allclose(got, model.predict_proba(x), atol=1e-12)
-
-
 def test_single_request_paths(server, model, x):
     assert server.predict(x[0]) == model.predict(x[:1])[0]
     assert server.predict_proba(x[1]) == pytest.approx(
         model.predict_proba(x[:2])[1], abs=1e-12
     )
-
-
-def test_unsupported_method_raises(server, x):
-    with pytest.raises(ValueError, match="does not support"):
-        server.request("transform", x[0])
 
 
 def test_same_row_always_routes_to_same_shard(model, x):
@@ -208,9 +229,22 @@ def test_health_shape(server):
 def test_base_server_health_exposes_shards_key(model):
     with ModelServer(model=model) as srv:
         health = srv.health()
+        assert health["n_shards"] == health["alive_shards"] == 1
         assert len(health["shards"]) == 1
-        assert health["shards"][0]["alive"] is True
-        assert health["shards"][0]["active_version"] == "v0"
+        local = health["shards"][0]
+        assert local["alive"] is True
+        assert local["active_version"] == "v0"
+        assert local["breaker"] is None
+        assert local["respawns"] == 0
+
+
+def test_health_key_set_matches_in_process(server, model):
+    with ModelServer(model=model) as local:
+        ours = local.health()
+    fleet = server.health()
+    assert ours.keys() == fleet.keys()
+    assert ours["active_model"].keys() == fleet["active_model"].keys()
+    assert ours["shards"][0].keys() == fleet["shards"][0].keys()
 
 
 def test_stats_per_shard_split_sums_to_dispatched(server, x):

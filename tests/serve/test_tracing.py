@@ -10,6 +10,9 @@ Covers the two contracts the tracing tentpole exists for:
   a stale-snapshot fallback yields one trace, reconstructable from the
   JSONL log by trace id, carrying those occurrences as span events, and
   ``summarize`` renders its critical path.
+
+Every test takes the ``backend`` fixture; ``test_sharding.py`` runs
+them again on the shard fleet.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +26,6 @@ from repro.serve import (
     FaultInjector,
     FaultProfile,
     ModelRegistry,
-    ModelServer,
     ResiliencePolicy,
     RetryPolicy,
 )
@@ -62,9 +64,9 @@ def by_name(spans):
 # ----------------------------------------------------------------------
 # Cross-thread propagation
 # ----------------------------------------------------------------------
-def test_request_and_dispatch_share_one_trace(model, x):
+def test_request_and_dispatch_share_one_trace(backend, model, x):
     tracer = Tracer(sample_rate=1.0)
-    with ModelServer(model=model, cache_size=0, tracer=tracer) as server:
+    with backend(model=model, cache_size=0, tracer=tracer) as server:
         server.predict(x[0])
     spans = by_name(tracer.buffer.spans())
 
@@ -78,9 +80,9 @@ def test_request_and_dispatch_share_one_trace(model, x):
     assert dispatch["attributes"]["batch_size"] == 1
 
 
-def test_concurrent_requests_get_distinct_traces(model, x):
+def test_concurrent_requests_get_distinct_traces(backend, model, x):
     tracer = Tracer(sample_rate=1.0)
-    with ModelServer(
+    with backend(
         model=model, cache_size=0, max_batch_size=8, tracer=tracer
     ) as server:
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -100,9 +102,9 @@ def test_concurrent_requests_get_distinct_traces(model, x):
         assert dispatch["trace_id"] == head["trace_id"]
 
 
-def test_cache_hit_is_an_event_on_the_request_span(model, x):
+def test_cache_hit_is_an_event_on_the_request_span(backend, model, x):
     tracer = Tracer(sample_rate=1.0)
-    with ModelServer(model=model, cache_size=64, tracer=tracer) as server:
+    with backend(model=model, cache_size=64, tracer=tracer) as server:
         server.predict(x[0])
         server.predict(x[0])  # identical row: served from cache
     requests = by_name(tracer.buffer.spans())["serve/request"]
@@ -111,16 +113,16 @@ def test_cache_hit_is_an_event_on_the_request_span(model, x):
     assert any("cache_hit" in names for names in events)
 
 
-def test_unsampled_requests_export_nothing(model, x):
+def test_unsampled_requests_export_nothing(backend, model, x):
     tracer = Tracer(sample_rate=0.0)
-    with ModelServer(model=model, cache_size=0, tracer=tracer) as server:
+    with backend(model=model, cache_size=0, tracer=tracer) as server:
         server.predict(x[0])
     assert len(tracer.buffer) == 0
     assert tracer.started > 0  # spans were created, payload dropped
 
 
-def test_untraced_server_works_identically(model, x):
-    with ModelServer(model=model, cache_size=0) as server:
+def test_untraced_server_works_identically(backend, model, x):
+    with backend(model=model, cache_size=0) as server:
         direct = server.predict(x[0])
     assert direct == model.predict(x[:1])[0]
 
@@ -128,7 +130,9 @@ def test_untraced_server_works_identically(model, x):
 # ----------------------------------------------------------------------
 # Chaos narrative: retry + stale fallback in one trace
 # ----------------------------------------------------------------------
-def test_chaos_retry_and_stale_fallback_reconstructable(tmp_path, model, x):
+def test_chaos_retry_and_stale_fallback_reconstructable(
+    backend, tmp_path, model, x
+):
     path = tmp_path / "spans.jsonl"
     exporter = JsonlSpanExporter(path=str(path))
     tracer = Tracer(exporter=exporter, sample_rate=1.0)
@@ -147,7 +151,7 @@ def test_chaos_retry_and_stale_fallback_reconstructable(tmp_path, model, x):
             name="registry", min_calls=100, reset_timeout=0.1
         ),
     )
-    with ModelServer(
+    with backend(
         registry=registry,
         name="m",
         cache_size=0,
@@ -199,7 +203,7 @@ def test_chaos_retry_and_stale_fallback_reconstructable(tmp_path, model, x):
     assert table["serve/request"]["total_seconds"] > 0.0
 
 
-def test_breaker_transition_becomes_span_event(model, x):
+def test_breaker_transition_becomes_span_event(backend, model, x):
     tracer = Tracer(sample_rate=1.0)
     registry = ModelRegistry()
     registry.register(
@@ -215,7 +219,7 @@ def test_breaker_transition_becomes_span_event(model, x):
             failure_threshold=0.5, reset_timeout=60.0,
         ),
     )
-    with ModelServer(
+    with backend(
         registry=registry,
         name="m",
         cache_size=0,
