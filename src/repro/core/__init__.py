@@ -25,20 +25,13 @@ Baselines
 
 from .em import (
     em_step,
-    em_step_from_responsibilities,
     em_step_from_stats,
     gm_loss_terms,
     suffstats_from_responsibilities,
     update_mixing_coefficients,
     update_precisions,
 )
-from .fusion import (
-    EStepResult,
-    Workspace,
-    fused_estep,
-    stacked_estep,
-    stacked_prepare,
-)
+from .fusion import EStepResult, NonFiniteParameter, Workspace, stacked_estep
 from .gaussian_mixture import GaussianMixture, log_normal_pdf
 from .gm_regularizer import GMRegularizer
 from .hyperparams import DEFAULT_GAMMA_GRID, GMHyperParams, gamma_grid
@@ -82,17 +75,15 @@ __all__ = [
     "proportional_precisions",
     "initialize_mixture",
     "em_step",
-    "em_step_from_responsibilities",
     "em_step_from_stats",
     "suffstats_from_responsibilities",
     "gm_loss_terms",
     "update_precisions",
     "update_mixing_coefficients",
     "EStepResult",
+    "NonFiniteParameter",
     "Workspace",
-    "fused_estep",
     "stacked_estep",
-    "stacked_prepare",
     "Recommendation",
     "recommend",
     "make_recommended_regularizer",

@@ -23,7 +23,7 @@ renormalizing, and expose a switch so the behaviour can be ablated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "merge_plan",
     "merge_similar_components",
     "em_step",
-    "em_step_from_responsibilities",
     "em_step_from_stats",
     "gm_loss_terms",
 ]
@@ -228,30 +227,17 @@ def update_mixing_coefficients(
 def suffstats_from_responsibilities(
     responsibilities: np.ndarray,
     w: np.ndarray,
-    accumulate_dtype: "np.dtype[Any]" = np.dtype(np.float64),
-) -> "tuple[np.ndarray, np.ndarray]":
+) -> Tuple[np.ndarray, np.ndarray]:
     """The two M-step sufficient statistics from a responsibility matrix.
 
     Returns ``(resp_sum, weighted_sq)`` — ``sum_m r_k(w_m)`` and
-    ``sum_m r_k(w_m) w_m^2`` — accumulated in ``accumulate_dtype``.
-    This is the accumulation half of :func:`update_precisions` /
-    :func:`update_mixing_coefficients`, split out so the fused hot path
-    (which may hold float32 responsibilities) can choose float64
-    accumulation explicitly; with float64 inputs it reproduces the
-    unfused arithmetic bit-for-bit.
+    ``sum_m r_k(w_m) w_m^2`` — always accumulated in float64, so the
+    float32 E-step of a float32 model still produces float64-quality GM
+    updates.
     """
-    accumulate_dtype = np.dtype(accumulate_dtype)
-    w = np.asarray(w).reshape(-1)
-    if responsibilities.dtype == accumulate_dtype:
-        resp_sum = responsibilities.sum(axis=0)
-        w = w.astype(accumulate_dtype, copy=False)
-        weighted_sq = responsibilities.T @ (w * w)
-    else:
-        resp = responsibilities.astype(accumulate_dtype)
-        resp_sum = resp.sum(axis=0)
-        w = w.astype(accumulate_dtype, copy=False)
-        weighted_sq = resp.T @ (w * w)
-    return resp_sum, weighted_sq
+    resp = np.asarray(responsibilities, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    return resp.sum(axis=0), resp.T @ (w * w)
 
 
 def merge_plan(
@@ -266,8 +252,8 @@ def merge_plan(
     the input arrays) of components that collapse into one, ordered by
     ascending precision.  The running merged precision is the
     pi-weighted mean, so the grouping is identical to what
-    :func:`merge_similar_components` applies.  The online EM path uses
-    the plan to merge its decayed sufficient statistics alongside the
+    :func:`merge_similar_components` applies.  :func:`em_step_from_stats`
+    uses the plan to merge the sufficient statistics alongside the
     mixture parameters.
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
@@ -314,15 +300,36 @@ def merge_similar_components(
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    merged_pi = []
-    merged_lam = []
-    for group in merge_plan(pi, lam, rel_tol=rel_tol):
-        total = float(pi[group].sum())
-        merged_pi.append(total)
-        merged_lam.append(
-            float((pi[group] * lam[group]).sum()) / max(total, 1e-300)
-        )
-    return np.asarray(merged_pi), np.asarray(merged_lam)
+    return _merge_groups(merge_plan(pi, lam, rel_tol=rel_tol), pi, lam)
+
+
+def _merge_groups(
+    groups: List[List[int]],
+    pi: np.ndarray,
+    lam: np.ndarray,
+    *stats: np.ndarray,
+) -> tuple:
+    """Collapse each :func:`merge_plan` group into one component.
+
+    The merged ``pi`` is the members' sum and the merged ``lambda`` their
+    pi-weighted mean.  Each sufficient-statistics row in ``stats`` is
+    summed over the group: a sum of sums is the merged component's
+    statistic.  Returns ``(pi, lam, *stats)``.
+    """
+    if len(groups) == pi.size:  # nothing merges: at most a reorder
+        order = [g[0] for g in groups]
+        if order == list(range(len(order))):
+            return (pi, lam, *stats)
+        return (pi[order], lam[order], *(row[order] for row in stats))
+    merged_lam = [
+        float((pi[g] * lam[g]).sum()) / max(float(pi[g].sum()), 1e-300)
+        for g in groups
+    ]
+    summed = [
+        np.asarray([float(row[g].sum()) for g in groups])
+        for row in (pi,) + stats
+    ]
+    return (summed[0], np.asarray(merged_lam), *summed[1:])
 
 
 def em_step(
@@ -337,50 +344,19 @@ def em_step(
 ) -> GaussianMixture:
     """One full E+M step on the GM parameters for fixed ``w``.
 
-    Components pruned to zero mixing coefficient are removed from the
-    returned mixture, and components whose precisions have converged to
-    the same value are merged (matching the paper's observation that K=4
-    collapses to 1-2 effective components).
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    resp = mixture.responsibilities(w)
-    return em_step_from_responsibilities(
-        mixture,
-        w,
-        resp,
-        alpha=alpha,
-        a=a,
-        b=b,
-        prune=prune,
-        merge=merge,
-        merge_rel_tol=merge_rel_tol,
-    )
-
-
-def em_step_from_responsibilities(
-    mixture: GaussianMixture,
-    w: np.ndarray,
-    responsibilities: np.ndarray,
-    alpha: np.ndarray,
-    a: float,
-    b: float,
-    prune: bool = True,
-    merge: bool = True,
-    merge_rel_tol: float = 0.02,
-) -> GaussianMixture:
-    """M-step given responsibilities already computed for ``(mixture, w)``.
-
-    The fused hot path computes Equation (9) once per iteration and
-    shares it between the regularizer gradient (Equation (10)) and this
-    M-step; :func:`em_step` is exactly this function fed a fresh E-step.
-    With float64 responsibilities the result is bit-identical to
-    :func:`em_step` on the same inputs.
+    The reference built from the readable pieces: Equation (9) from
+    :meth:`GaussianMixture.responsibilities`, then
+    :func:`em_step_from_stats`.  Components pruned to zero mixing
+    coefficient are removed from the returned mixture, and components
+    whose precisions have converged to the same value are merged
+    (matching the paper's observation that K=4 collapses to 1-2
+    effective components).
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     resp_sum, weighted_sq = suffstats_from_responsibilities(
-        responsibilities, w
+        mixture.responsibilities(w), w
     )
-    return em_step_from_stats(
+    updated, _, _ = em_step_from_stats(
         mixture,
         resp_sum,
         weighted_sq,
@@ -391,6 +367,7 @@ def em_step_from_responsibilities(
         merge=merge,
         merge_rel_tol=merge_rel_tol,
     )
+    return updated
 
 
 def em_step_from_stats(
@@ -403,13 +380,20 @@ def em_step_from_stats(
     prune: bool = True,
     merge: bool = True,
     merge_rel_tol: float = 0.02,
-) -> GaussianMixture:
-    """M-step evaluated directly on the two sufficient statistics.
+) -> Tuple[GaussianMixture, np.ndarray, np.ndarray]:
+    """The M-step: Equations (13)/(17) on the two sufficient statistics.
 
-    ``mixture`` is only consulted for its component count sanity check;
-    the update itself is Equations (13)/(17) on ``resp_sum`` /
-    ``weighted_sq`` followed by the same prune/merge post-processing as
-    :func:`em_step`.
+    The only code that updates ``pi``/``lambda``.  Batch EM feeds it one
+    iteration's statistics; online EM (:mod:`repro.online.em`) feeds it
+    the decayed running summary.  After the update, components whose
+    mixing coefficient is pruned to zero are removed and components
+    whose precisions converged are merged (sorted by ascending
+    precision).
+
+    Returns ``(mixture, resp_sum, weighted_sq)``: the statistics are
+    carried through the same prune and merge, so row ``k`` stays aligned
+    with component ``k`` (merged components sum their rows).
+    ``mixture`` is only consulted for its component count.
     """
     resp_sum = np.asarray(resp_sum, dtype=np.float64).reshape(-1)
     weighted_sq = np.asarray(weighted_sq, dtype=np.float64).reshape(-1)
@@ -424,9 +408,14 @@ def em_step_from_stats(
     if not np.all(keep) and keep.sum() >= 1:
         pi = pi[keep] / pi[keep].sum()
         lam = lam[keep]
+        resp_sum = resp_sum[keep]
+        weighted_sq = weighted_sq[keep]
     if merge and pi.size > 1:
-        pi, lam = merge_similar_components(pi, lam, rel_tol=merge_rel_tol)
-    return GaussianMixture(pi=pi, lam=lam)
+        groups = merge_plan(pi, lam, rel_tol=merge_rel_tol)
+        pi, lam, resp_sum, weighted_sq = _merge_groups(
+            groups, pi, lam, resp_sum, weighted_sq
+        )
+    return GaussianMixture(pi=pi, lam=lam), resp_sum, weighted_sq
 
 
 def gm_loss_terms(

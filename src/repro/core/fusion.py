@@ -1,70 +1,58 @@
-"""Fused E-step/gradient kernels — the training hot path.
+"""The E-step kernel — the training hot path.
 
 Profiling with the per-phase timers (``phase/estep`` … ``phase/sgd``)
-shows the GM regularizer's EM machinery dominating training time, and
+shows the GM regularizer's EM machinery dominating eager training, and
 that the dominant cost is evaluating the per-component Gaussian
 densities ``N(w_m | 0, lambda_k)`` over every parameter dimension.
-Before this module the densities were evaluated **twice** per
-iteration: once for the responsibilities feeding ``g_reg``
-(Equations (9)+(10) share them) and once more inside the M-step's
-:func:`~repro.core.em.em_step`.  The lazy-update schedule of
-Algorithm 2 exists precisely because that inner loop was expensive.
+Equations (9) and (10) share those densities, and the M-step
+(Equations (13)/(17)) consumes the very responsibilities the E-step
+produced, so one evaluation per iteration serves all three.
 
-This module makes the inner loop cheap:
+:func:`stacked_estep` is the one kernel that evaluates them:
 
-- :func:`fused_estep` evaluates the shared log-densities **once** and
-  returns both the responsibility matrix (for the M-step) and the
-  regularizer gradient ``g_reg`` (for the SGD step).
-- Two kernels: ``"exact"`` reproduces
-  :meth:`~repro.core.gaussian_mixture.GaussianMixture.responsibilities`
-  arithmetic bit-for-bit, while ``"fast"`` replaces the textbook
-  two-``exp`` log-space normalization with a single ``exp`` and a
-  division (``r = exp(a - amax) / sum exp(a - amax)``), fuses the
-  constant terms, and works out of preallocated buffers.
-- A float32 compute path (``compute_dtype``) for the ``"fast"`` kernel
-  halves memory traffic; sufficient statistics can still be
-  accumulated in float64 (see
-  :func:`~repro.core.em.suffstats_from_responsibilities`).
-- :func:`stacked_estep` vectorizes the per-layer GM update loop into a
-  single stacked-parameter pass: the flattened weights of many layers
-  are concatenated and one kernel invocation serves every mixture,
-  instead of one numpy call chain per layer.
-- :class:`Workspace` caches the intermediate ``(M, K)`` buffers across
-  iterations so the hot loop stops allocating tens of megabytes per
-  step.
+- It concatenates the flattened weights of every due layer into one
+  vector and runs a single pass over the ``(K_max, M_total)`` block,
+  instead of one numpy call chain per layer.  A single layer is a stack
+  of one.
+- It normalizes with one ``exp`` and a division
+  (``r = exp(a - amax) / sum exp(a - amax)``), fuses the constant
+  terms, and works out of preallocated :class:`Workspace` buffers.
+- It computes in the regularized weights' dtype: float32 when the model
+  was cast with ``Network.to_dtype``, float64 otherwise.  ``g_reg`` is
+  always float64, and the M-step accumulates its statistics in float64
+  (:func:`~repro.core.em.suffstats_from_responsibilities`).
 
-``benchmarks/bench_hotpath_fusion.py`` gates the whole pass: fused
-training must be >= 2x faster than the legacy unfused path on the
-Alex-CIFAR config at matching (<= 1e-6) losses, with the win
-attributed to the estep/grad phases by the phase timers.
+:meth:`~repro.core.gaussian_mixture.GaussianMixture.responsibilities`
+is the readable Equation (9) reference the kernel is tested against
+(``tests/property/test_gm_properties.py``: 1e-13 in float64, 1e-5 in
+float32).  ``benchmarks/bench_hotpath_fusion.py`` builds its legacy
+baseline from that reference and gates the kernel at >= 2x faster
+training on the Alex-CIFAR config at matching (<= 1e-6) losses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gaussian_mixture import GaussianMixture, _logsumexp
+from .gaussian_mixture import GaussianMixture
 
 __all__ = [
     "Workspace",
     "EStepResult",
-    "KERNELS",
-    "fused_estep",
+    "NonFiniteParameter",
     "stacked_estep",
-    "stacked_prepare",
 ]
 
 # 0.5 * log(2 * pi), the constant part of the Gaussian log density.
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-#: The supported E-step kernels: ``"exact"`` is bit-identical to the
-#: unfused reference arithmetic; ``"fast"`` is the single-``exp``
-#: buffered kernel (and the only one that supports float32 compute).
-KERNELS = ("exact", "fast")
+_F32 = np.dtype(np.float32)
+_F64 = np.dtype(np.float64)
 
 
 class Workspace:
@@ -121,14 +109,14 @@ class Workspace:
 
 @dataclass
 class EStepResult:
-    """One fused E-step evaluation for a single mixture.
+    """One E-step evaluation for a single mixture.
 
     Attributes
     ----------
     responsibilities:
         Equation (9) matrix ``(M, K)`` in the kernel's compute dtype.
-        May be a view into a workspace buffer — valid until the owner's
-        next E-step.
+        A view into a workspace buffer — valid until the owner's next
+        E-step.
     gradient:
         Flat ``g_reg`` of Equation (10)'s second term,
         ``sum_k r_k(w_m) lambda_k w_m``, always float64.
@@ -138,335 +126,148 @@ class EStepResult:
     gradient: np.ndarray
 
 
-def fused_estep(
-    mixture: GaussianMixture,
-    w: np.ndarray,
-    kernel: str = "fast",
-    compute_dtype: "np.dtype[Any]" = np.dtype(np.float64),
-    workspace: Optional[Workspace] = None,
-) -> EStepResult:
-    """Responsibilities and ``g_reg`` from one shared density evaluation.
+class NonFiniteParameter(ValueError):
+    """A regularized weight vector holds NaN or infinite values.
 
-    Parameters
-    ----------
-    mixture:
-        The current GM prior.
-    w:
-        Flattened float64 parameter vector, shape ``(M,)``.
-    kernel:
-        ``"exact"`` reproduces the unfused reference arithmetic
-        bit-for-bit; ``"fast"`` uses the single-``exp`` buffered kernel.
-    compute_dtype:
-        Dtype of the density evaluation (``"fast"`` kernel only;
-        float32 is the fast path, float64 the default).
-    workspace:
-        Buffer cache reused across iterations (``"fast"`` kernel only).
+    :func:`stacked_estep` raises it before evaluating any density, so a
+    poisoned weight never reaches an M-step.  ``index`` is the vector's
+    position in the stack; the training step re-raises the error with
+    the parameter's ``name`` and the ``iteration``.
     """
-    results = stacked_estep(
-        [mixture],
-        [w],
-        kernel=kernel,
-        compute_dtype=compute_dtype,
-        workspace=workspace,
-    )
-    return results[0]
+
+    def __init__(
+        self,
+        index: int,
+        name: Optional[str] = None,
+        iteration: Optional[int] = None,
+    ) -> None:
+        self.index = index
+        self.name = name
+        self.iteration = iteration
+        where = (
+            f"stacked weight vector {index}" if name is None
+            else f"parameter {name!r}"
+        )
+        when = "" if iteration is None else f" at iteration {iteration}"
+        super().__init__(f"{where} holds non-finite values{when}")
 
 
 def stacked_estep(
     mixtures: Sequence[GaussianMixture],
     ws: Sequence[np.ndarray],
-    kernel: str = "fast",
-    compute_dtype: "np.dtype[Any]" = np.dtype(np.float64),
     workspace: Optional[Workspace] = None,
 ) -> List[EStepResult]:
-    """One fused E-step over many ``(mixture, w)`` pairs at once.
+    """Responsibilities and ``g_reg`` for many ``(mixture, w)`` pairs.
 
-    Deep models carry one GM per layer (Section V-B1); evaluating them
-    layer-by-layer pays the full numpy dispatch chain per layer.  This
-    pass concatenates every layer's flattened weights into one vector,
-    pads the per-layer component axes to a common ``K_max`` (padded
+    Deep models carry one GM per layer (Section V-B1).  This pass
+    concatenates every layer's flattened weights into one vector, pads
+    the per-layer component axes to a common ``K_max`` (padded
     components get ``-inf`` log-weight, hence exactly zero
-    responsibility), and runs a single kernel invocation over the
-    ``(M_total, K_max)`` block.  Per-layer results are returned as
-    slices of the stacked buffers in input order.
+    responsibility), and evaluates the densities
+    once over the ``(K_max, M_total)`` block.  Per-layer results are
+    returned as slices of the stacked buffers in input order.
 
-    With ``kernel="exact"`` the stacked results are bit-identical to
-    per-layer evaluation: padding contributes exact zeros to every
-    reduction and all element-wise arithmetic is unchanged.
+    All intermediates live in a transposed ``(K, M)`` layout:
+    responsibilities normalize *across components*, and with K ~ 4 a
+    row-wise reduction over an ``(M, K)`` array degenerates into M tiny
+    strided reduce loops, an order of magnitude slower on an
+    80k-parameter stack.
+
+    The densities are computed in float32 when every ``w`` is float32,
+    otherwise in float64.  Raises :class:`NonFiniteParameter` if any
+    weight is NaN or infinite.
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if len(mixtures) != len(ws):
         raise ValueError(
             f"got {len(mixtures)} mixtures but {len(ws)} parameter vectors"
         )
     if not mixtures:
         return []
-    compute_dtype = np.dtype(compute_dtype)
-    if kernel == "exact" and compute_dtype != np.dtype(np.float64):
-        raise ValueError(
-            "the exact kernel is float64-only; use kernel='fast' for "
-            f"compute_dtype={compute_dtype}"
-        )
-    flats = [np.asarray(w, dtype=np.float64).reshape(-1) for w in ws]
-    if len(mixtures) == 1:
-        if kernel == "exact":
-            return [_exact_single(mixtures[0], flats[0])]
-        return [_fast_single(mixtures[0], flats[0], compute_dtype, workspace)]
-    if kernel == "exact":
-        return _exact_stacked(list(mixtures), flats)
-    return _fast_stacked(list(mixtures), flats, compute_dtype, workspace)
-
-
-# ----------------------------------------------------------------------
-# Exact kernel: reference arithmetic, evaluated once and shared.
-# ----------------------------------------------------------------------
-def _exact_single(mixture: GaussianMixture, flat: np.ndarray) -> EStepResult:
-    """Reference arithmetic for one mixture (bit-identical to unfused)."""
-    resp = mixture.responsibilities(flat)
-    effective_precision = resp @ mixture.lam
-    return EStepResult(
-        responsibilities=resp, gradient=effective_precision * flat
-    )
-
-
-def _exact_stacked(
-    mixtures: List[GaussianMixture], flats: List[np.ndarray]
-) -> List[EStepResult]:
-    """Stacked evaluation reproducing the reference arithmetic exactly.
-
-    Element-wise operations act on gathered per-layer rows, so every
-    scalar sees the same operands (hence the same rounding) as the
-    per-layer reference; padded components carry ``-inf`` log density
-    and contribute exact zeros to the row reductions.
-    """
+    buffers = workspace if workspace is not None else Workspace()
+    flats = [np.asarray(w).reshape(-1) for w in ws]
+    dtype = _F32 if all(flat.dtype == _F32 for flat in flats) else _F64
     k_max = max(m.n_components for m in mixtures)
-    sizes = [flat.size for flat in flats]
-    x = np.concatenate(flats)
-    rows = np.repeat(np.arange(len(mixtures)), sizes)
+    bounds = list(itertools.accumulate((flat.size for flat in flats), initial=0))
+    m_total = bounds[-1]
+    layers = list(zip(mixtures, bounds, bounds[1:]))
 
-    half_log_lam = np.full((len(mixtures), k_max), -np.inf)
-    lam_pad = np.zeros((len(mixtures), k_max))
-    log_pi_pad = np.zeros((len(mixtures), k_max))
-    for i, m in enumerate(mixtures):
-        k = m.n_components
-        half_log_lam[i, :k] = 0.5 * np.log(m.lam)
-        lam_pad[i, :k] = m.lam
-        log_pi_pad[i, :k] = m._log_pi
-    # Mirrors GaussianMixture.component_log_pdf + responsibilities: the
-    # same products/sums per element, just with per-layer gathered rows.
-    x2 = x[:, None] ** 2
-    weighted = (
-        half_log_lam[rows]
-        - _HALF_LOG_TWO_PI
-        - 0.5 * lam_pad[rows] * x2
-    )
-    weighted += log_pi_pad[rows]
-    log_norm = _logsumexp(weighted, axis=1)
-    resp = np.exp(weighted - log_norm[:, None])
-
-    results: List[EStepResult] = []
-    lo = 0
-    for m, flat in zip(mixtures, flats):
-        hi = lo + flat.size
-        # Contiguous copy so downstream reductions (M-step suffstats, the
-        # gradient matvec) see the same memory layout — hence the same
-        # BLAS/pairwise-summation paths and bits — as the per-layer path.
-        block = np.ascontiguousarray(resp[lo:hi, : m.n_components])
-        effective_precision = block @ m.lam
-        results.append(
-            EStepResult(
-                responsibilities=block,
-                gradient=effective_precision * flat,
-            )
-        )
-        lo = hi
-    return results
-
-
-# ----------------------------------------------------------------------
-# Fast kernel: fused constants, one exp, buffered.
-#
-# All intermediates live in a transposed (K, M) layout: responsibilities
-# normalize *across components*, and with K ~ 4 a row-wise reduction
-# over an (M, K) array degenerates into M tiny strided reduce loops.
-# In (K, M) the same reductions (max, sum) sweep K long contiguous rows
-# — the difference is an order of magnitude on an 80k-parameter stack.
-# Results are returned as (M, K) transpose views, which downstream
-# consumers reduce efficiently: ``resp.sum(axis=0)`` and
-# ``resp.T @ w**2`` both stream over the contiguous base rows.
-# ----------------------------------------------------------------------
-def _fast_single(
-    mixture: GaussianMixture,
-    flat: np.ndarray,
-    compute_dtype: "np.dtype[Any]",
-    workspace: Optional[Workspace],
-) -> EStepResult:
-    """Single-``exp`` kernel for one mixture, out of workspace buffers."""
-    ws = workspace if workspace is not None else Workspace()
-    m_dim, k = flat.size, mixture.n_components
-    lam = mixture.lam.astype(compute_dtype)
-    # log pi_k + 0.5 log lambda_k - 0.5 log 2pi, fused into one constant.
-    log_weight = (
-        mixture._log_pi + 0.5 * np.log(mixture.lam) - _HALF_LOG_TWO_PI
-    ).astype(compute_dtype)
-
-    x = flat.astype(compute_dtype, copy=False)
-    x2 = ws.get("x2", (m_dim,), compute_dtype)
-    np.multiply(x, x, out=x2)
-    buf = ws.get("weighted", (k, m_dim), compute_dtype)
-    np.multiply((-0.5 * lam)[:, None], x2[None, :], out=buf)
-    buf += log_weight[:, None]
-    _normalize_components(buf, ws)
-    gradient = _fast_gradient(buf, lam, flat, ws)
-    return EStepResult(responsibilities=buf.T, gradient=gradient)
-
-
-def _fast_stacked(
-    mixtures: List[GaussianMixture],
-    flats: List[np.ndarray],
-    compute_dtype: "np.dtype[Any]",
-    workspace: Optional[Workspace],
-) -> List[EStepResult]:
-    """Single-``exp`` kernel over the stacked multi-layer block."""
-    ws = workspace if workspace is not None else Workspace()
-    k_max = max(m.n_components for m in mixtures)
-    sizes = [flat.size for flat in flats]
-    m_total = int(sum(sizes))
-    bounds = np.cumsum([0] + sizes)
-
-    x = ws.get("x", (m_total,), np.dtype(np.float64))
+    x = buffers.get("x", (m_total,), _F64)
     np.concatenate(flats, out=x)
-    xc = x.astype(compute_dtype, copy=False)
-    x2 = ws.get("x2", (m_total,), compute_dtype)
+    if not np.isfinite(x).all():
+        bad = next(
+            i for i, flat in enumerate(flats) if not np.isfinite(flat).all()
+        )
+        raise NonFiniteParameter(bad)
+    xc = x.astype(dtype, copy=False)
+    x2 = buffers.get("x2", (m_total,), dtype)
     np.multiply(xc, xc, out=x2)
 
     # Per-layer segment fill: each layer contributes a contiguous column
     # block, so broadcasting its (K,) constants over the block is far
-    # cheaper than an 80k-row gather.  Padded components get -inf log
-    # weight (exact zero responsibility) and lambda 0 (no gradient).
-    buf = ws.get("weighted", (k_max, m_total), compute_dtype)
-    lam_cols = ws.get("lam_cols", (k_max, m_total), compute_dtype)
+    # cheaper than an 80k-row gather.  Padded components keep -inf.
+    buf = buffers.get("weighted", (k_max, m_total), dtype)
     if len(mixtures) > 1:
         buf.fill(-np.inf)
-        lam_cols.fill(0)
-    for i, m in enumerate(mixtures):
-        k = m.n_components
-        lo, hi = bounds[i], bounds[i + 1]
-        lam = m.lam.astype(compute_dtype)
-        log_weight = (
-            m._log_pi + 0.5 * np.log(m.lam) - _HALF_LOG_TWO_PI
-        ).astype(compute_dtype)
+    for m, lo, hi in layers:
+        # Per-component constants in scalar arithmetic: K is a handful,
+        # so numpy dispatch would cost more than the math.
+        lam = m.lam.tolist()
+        lam_min = min(lam)
+        # log pi_k + 0.5 log lambda_k - 0.5 log 2pi, fused into one constant.
+        log_weight = [
+            log_pi + 0.5 * math.log(lam_k) - _HALF_LOG_TWO_PI
+            for log_pi, lam_k in zip(m._log_pi.tolist(), lam)
+        ]
+        # The quadratic term relative to the layer's smallest precision:
+        # Eq. (9) is shift-invariant per row, and the shift keeps every
+        # competitive log weight within ~log(lambda ratio) of zero, so
+        # log pi survives rounding even when lambda * w^2 is huge.
+        half_excess = [-0.5 * (lam_k - lam_min) for lam_k in lam]
+        block = buf[: m.n_components, lo:hi]
         np.multiply(
-            (-0.5 * lam)[:, None], x2[None, lo:hi], out=buf[:k, lo:hi]
+            np.array(half_excess, dtype)[:, None], x2[None, lo:hi], out=block
         )
-        buf[:k, lo:hi] += log_weight[:, None]
-        lam_cols[:k, lo:hi] = lam[:, None]
+        block += np.array(log_weight, dtype)[:, None]
 
-    # One normalization and one gradient pass over the whole stack: the
-    # -inf padding never wins the column max and exps to exact zero.
-    _normalize_components(buf, ws)
-    lam_cols *= buf
-    precision = ws.get("precision", (m_total,), compute_dtype)
-    lam_cols.sum(axis=0, out=precision)
+    # One normalization over the whole stack (the -inf padding never
+    # wins the column max and exps to exact zero), then each layer's
+    # effective precision sum_k r_k lambda_k.
+    _normalize_components(buf, buffers)
+    precision = buffers.get("precision", (m_total,), dtype)
+    for m, lo, hi in layers:
+        np.matmul(
+            m.lam.astype(dtype, copy=False),
+            buf[: m.n_components, lo:hi],
+            out=precision[lo:hi],
+        )
     # The product allocates a fresh float64 array, so per-layer gradient
     # slices stay valid across iterations (the lazy schedule caches
     # them), unlike the workspace-backed responsibility views.
     gradient_full = precision * x
 
-    results: List[EStepResult] = []
-    for i, m in enumerate(mixtures):
-        lo, hi = bounds[i], bounds[i + 1]
-        results.append(
-            EStepResult(
-                responsibilities=buf[: m.n_components, lo:hi].T,
-                gradient=gradient_full[lo:hi],
-            )
+    return [
+        EStepResult(
+            responsibilities=buf[: m.n_components, lo:hi].T,
+            gradient=gradient_full[lo:hi],
         )
-    return results
+        for m, lo, hi in layers
+    ]
 
 
-def _normalize_components(buf: np.ndarray, ws: Workspace) -> None:
+def _normalize_components(buf: np.ndarray, buffers: Workspace) -> None:
     """In-place softmax of ``buf`` over the component axis (axis 0).
 
     ``r = exp(a - amax) / sum_k exp(a - amax)`` — one ``exp`` and one
     division instead of the textbook second ``exp`` of
-    ``a - logsumexp(a)``; agreement with the exact kernel is at the
-    few-ulp level (asserted by the fusion tests).
+    ``a - logsumexp(a)``; agreement with the reference is at the
+    few-ulp level (asserted by the property tests).
     """
     m_dim = buf.shape[1]
     dtype = buf.dtype
-    amax = ws.get("amax", (m_dim,), dtype)
+    amax = buffers.get("amax", (m_dim,), dtype)
     buf.max(axis=0, out=amax)
     buf -= amax[None, :]
     np.exp(buf, out=buf)
-    norm = ws.get("norm", (m_dim,), dtype)
+    norm = buffers.get("norm", (m_dim,), dtype)
     buf.sum(axis=0, out=norm)
     buf /= norm[None, :]
-
-
-def _fast_gradient(
-    resp_t: np.ndarray, lam: np.ndarray, flat: np.ndarray, ws: Workspace
-) -> np.ndarray:
-    """``g_reg = (sum_k r_k lambda_k) * w`` from (K, M) responsibilities.
-
-    Always float64 and freshly allocated — the caller caches it across
-    iterations under the lazy schedule.
-    """
-    precision = ws.get("precision", (flat.size,), resp_t.dtype)
-    np.matmul(lam, resp_t, out=precision)
-    return precision * flat
-
-
-# ----------------------------------------------------------------------
-# Trainer-facing driver
-# ----------------------------------------------------------------------
-def stacked_prepare(
-    parameters: Sequence[Any],
-    iteration: int,
-    workspace: Optional[Workspace] = None,
-) -> int:
-    """Run the E-step phase for every regularized parameter at once.
-
-    Drop-in replacement for the trainer's per-parameter
-    ``regularizer.prepare(value, iteration)`` loop: fusable
-    GM regularizers (``fused=True``, exactly
-    :class:`~repro.core.gm_regularizer.GMRegularizer`) that are due this
-    iteration are batched into one :func:`stacked_estep` call per kernel
-    configuration and receive their results through
-    ``adopt_estep``; everything else falls back to its own
-    ``prepare``.  Returns the number of regularizers served by the
-    stacked pass.
-    """
-    from .gm_regularizer import GMRegularizer
-
-    groups: Dict[Tuple[str, str], List[Any]] = {}
-    for param in parameters:
-        reg = param.regularizer
-        if reg is None:
-            continue
-        if type(reg) is GMRegularizer and reg.fused and reg.estep_due(
-            iteration
-        ):
-            key = (reg.kernel, reg.compute_dtype.name)
-            groups.setdefault(key, []).append(param)
-        else:
-            reg.prepare(param.value, iteration)
-
-    stacked = 0
-    for (kernel, dtype_name), members in groups.items():
-        if len(members) == 1:
-            param = members[0]
-            param.regularizer.prepare(param.value, iteration)
-            continue
-        results = stacked_estep(
-            [p.regularizer.mixture for p in members],
-            [p.value for p in members],
-            kernel=kernel,
-            compute_dtype=np.dtype(dtype_name),
-            workspace=workspace,
-        )
-        for param, result in zip(members, results):
-            param.regularizer.adopt_estep(param.value, iteration, result)
-        stacked += len(members)
-    return stacked

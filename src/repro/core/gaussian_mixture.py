@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
-
 import numpy as np
 
 __all__ = ["GaussianMixture", "log_normal_pdf"]
@@ -77,9 +75,9 @@ class GaussianMixture:
             )
         if pi.size == 0:
             raise ValueError("mixture must have at least one component")
-        if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
+        if not ((lam > 0.0).all() and np.isfinite(lam).all()):
             raise ValueError(f"all precisions must be positive and finite, got {lam}")
-        if np.any(pi < 0.0) or not np.all(np.isfinite(pi)):
+        if not ((pi >= 0.0).all() and np.isfinite(pi).all()):
             raise ValueError(f"mixing coefficients must be non-negative, got {pi}")
         total = pi.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
@@ -88,8 +86,8 @@ class GaussianMixture:
         pi = pi / total
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "lam", lam)
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_log_pi", np.log(np.maximum(pi, _PI_FLOOR)))
+        # The floor keeps pruned (pi = 0) components at a finite log weight.
+        object.__setattr__(self, "_log_pi", np.log(np.maximum(pi, _PI_FLOOR)))
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -152,7 +150,10 @@ class GaussianMixture:
 
             r_k(w_m) = pi_k p_k(w_m) / sum_j pi_j p_j(w_m),
 
-        computed in log space for stability.
+        computed in log space for stability.  This is the readable
+        reference for the training kernel
+        (:func:`repro.core.fusion.stacked_estep`), which the property
+        tests hold to it.
 
         Parameters
         ----------
@@ -165,35 +166,19 @@ class GaussianMixture:
             Responsibility matrix of shape ``(M, K)``; each row sums to 1.
         """
         w = np.asarray(w, dtype=np.float64).reshape(-1)
-        weighted = self.component_log_pdf(w) + self._log_pi[None, :]
-        log_norm = _logsumexp(weighted, axis=1)
-        return np.exp(weighted - log_norm[:, None])
-
-    def estep(
-        self,
-        w: np.ndarray,
-        kernel: str = "exact",
-        compute_dtype: Any = np.float64,
-        workspace: Any = None,
-    ) -> Any:
-        """Fused E-step: responsibilities and ``g_reg`` in one evaluation.
-
-        Convenience front-end to :func:`repro.core.fusion.fused_estep` —
-        the per-component log-densities are evaluated once and shared
-        between Equation (9) and Equation (10)'s second term.  Returns
-        an :class:`~repro.core.fusion.EStepResult`; with the default
-        ``kernel="exact"`` the responsibilities are bit-identical to
-        :meth:`responsibilities`.
-        """
-        from .fusion import fused_estep
-
-        return fused_estep(
-            self,
-            np.asarray(w, dtype=np.float64).reshape(-1),
-            kernel=kernel,
-            compute_dtype=np.dtype(compute_dtype),
-            workspace=workspace,
+        # Equation (9) is unchanged by a per-row shift of the log terms.
+        # Dropping the smallest precision's quadratic term from every
+        # component keeps the terms that decide the split at their own
+        # scale: at lambda * w^2 ~ 1e4 the unshifted sum would already
+        # round log pi_k by ~1e-12.
+        shifted = (
+            0.5 * np.log(self.lam)[None, :]
+            - _HALF_LOG_TWO_PI
+            - 0.5 * (self.lam - self.lam.min())[None, :] * w[:, None] ** 2
+            + self._log_pi[None, :]
         )
+        log_norm = _logsumexp(shifted, axis=1)
+        return np.exp(shifted - log_norm[:, None])
 
     # ------------------------------------------------------------------
     # Sampling and summaries

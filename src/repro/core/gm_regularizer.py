@@ -16,17 +16,15 @@ The three key functions named in Section IV of the paper are exposed
 verbatim (PEP 8-cased): :meth:`cal_responsibility`,
 :meth:`calc_reg_grad` and :meth:`upt_gm_param`.
 
-**Fused hot path.**  Equations (9) and (10) share the per-component
-log-densities, and the M-step consumes the very responsibilities the
-E-step just produced.  With ``fused=True`` (the default) the
-regularizer evaluates the densities **once** per due iteration through
-:mod:`repro.core.fusion` and reuses the responsibility matrix for both
-the cached ``g_reg`` and the next due M-step; the legacy double
-evaluation is preserved under ``fused=False`` as the benchmark
-baseline.  The default ``kernel="exact"`` reproduces the unfused
-arithmetic bit-for-bit; ``kernel="fast"`` opts into the single-``exp``
-buffered kernel (optionally float32) measured by
-``benchmarks/bench_hotpath_fusion.py``.
+**One density evaluation per iteration.**  Equations (9) and (10)
+share the per-component log-densities, and the M-step consumes the very
+responsibilities the E-step just produced.  The training step
+(:class:`~repro.optim.trainer.Stepper`) runs the one kernel of
+:mod:`repro.core.fusion` over every due GM regularizer at once, installs
+each result with :meth:`GMRegularizer.adopt_estep` and hands its
+responsibilities to :meth:`GMRegularizer.update` in the same iteration.
+An M-step that finds no responsibilities (standalone use, or a lazy
+schedule with ``Im != Ig``) runs the kernel itself.
 """
 
 from __future__ import annotations
@@ -37,12 +35,11 @@ import numpy as np
 
 from .em import (
     RegularizerEMState,
-    em_step,
     em_step_from_stats,
     gm_loss_terms,
     suffstats_from_responsibilities,
 )
-from .fusion import KERNELS, EStepResult, Workspace, fused_estep
+from .fusion import EStepResult, Workspace, stacked_estep
 from .gaussian_mixture import GaussianMixture
 from .hyperparams import GMHyperParams
 from .initialization import base_precision_from_weight_init, initialize_mixture
@@ -79,23 +76,6 @@ class GMRegularizer(Regularizer):
         Whether components whose precisions converge to the same value
         are merged — the mechanism by which K=4 collapses to the 1-2
         components reported in Tables IV/V (disable for ablation).
-    fused:
-        When True (default) the E-step densities are evaluated once per
-        due iteration and the responsibility matrix is shared between
-        ``g_reg`` and the next due M-step.  ``False`` restores the
-        legacy double evaluation (the benchmark baseline); the training
-        trajectory is bit-identical either way under the default
-        ``kernel="exact"``.
-    kernel:
-        ``"exact"`` (default, bit-identical to unfused) or ``"fast"``
-        (single-``exp`` buffered kernel; see :mod:`repro.core.fusion`).
-    compute_dtype:
-        Dtype of the fast kernel's density evaluation — ``np.float64``
-        (default) or ``np.float32`` for the reduced-precision fast path.
-    accumulate_dtype:
-        Dtype in which M-step sufficient statistics are accumulated when
-        reusing fused responsibilities; float64 by default so float32
-        responsibilities still produce float64-quality GM updates.
 
     Examples
     --------
@@ -116,24 +96,9 @@ class GMRegularizer(Regularizer):
         schedule: Optional[LazyUpdateSchedule] = None,
         prune_components: bool = True,
         merge_components: bool = True,
-        fused: bool = True,
-        kernel: str = "exact",
-        compute_dtype: Any = np.float64,
-        accumulate_dtype: Any = np.float64,
     ) -> None:
         if n_dimensions < 1:
             raise ValueError(f"n_dimensions must be >= 1, got {n_dimensions}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-        self.fused = bool(fused)
-        self.kernel = kernel
-        self.compute_dtype = np.dtype(compute_dtype)
-        self.accumulate_dtype = np.dtype(accumulate_dtype)
-        if kernel == "exact" and self.compute_dtype != np.dtype(np.float64):
-            raise ValueError(
-                "the exact kernel is float64-only; use kernel='fast' for "
-                f"compute_dtype={self.compute_dtype}"
-            )
         self.n_dimensions = int(n_dimensions)
         self.hyperparams = hyperparams or GMHyperParams()
         self.schedule = schedule or LazyUpdateSchedule()
@@ -154,20 +119,10 @@ class GMRegularizer(Regularizer):
         self._cached_reg_grad: Optional[np.ndarray] = None
         self._n_estep = 0
         self._n_mstep = 0
-        # One (and only one) density evaluation per fused iteration: the
-        # fix for the double-count is observable through this counter.
+        # One density evaluation per iteration that runs the E-step
+        # (and one more per M-step that had to run the kernel itself).
         self._n_density_evals = 0
         self._workspace = Workspace()
-        # E-step stash: the responsibility matrix from the last fused
-        # E-step, valid for M-step reuse only while the stamped
-        # iteration, mixture object and parameter array are all
-        # unchanged (Algorithm 2 runs E-step and M-step on the same w
-        # before SGD mutates it).
-        self._estep_resp: Optional[np.ndarray] = None
-        self._estep_iteration: Optional[int] = None
-        self._estep_mixture: Optional[GaussianMixture] = None
-        self._estep_w_ref: Optional[np.ndarray] = None
-        self._pending_resp: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Key functions of the tool (Section IV naming)
@@ -182,69 +137,60 @@ class GMRegularizer(Regularizer):
         ``g_reg_m = sum_k r_k(w_m) * lambda_k * w_m`` — a responsibility-
         weighted precision applied to each parameter, which is what gives
         small parameters strong (high-precision component) regularization
-        and large parameters weak regularization.
+        and large parameters weak regularization.  This is one E-step:
+        the result becomes the cached gradient :meth:`gradient` returns.
         """
-        flat = np.asarray(w, dtype=np.float64).reshape(-1)
-        if flat.size != self.n_dimensions:
-            raise ValueError(
-                f"expected {self.n_dimensions} parameter dimensions, got {flat.size}"
-            )
-        if self.fused:
-            result = fused_estep(
-                self.mixture,
-                flat,
-                kernel=self.kernel,
-                compute_dtype=self.compute_dtype,
-                workspace=self._workspace,
-            )
-            self._stash_estep(result.responsibilities, w)
-            grad = result.gradient
-        else:
-            resp = self.mixture.responsibilities(flat)
-            effective_precision = resp @ self.mixture.lam
-            grad = effective_precision * flat
-        self._n_estep += 1
-        self._n_density_evals += 1
-        return grad.reshape(np.asarray(w).shape)
+        self.adopt_estep(self._evaluate(w))
+        return self.gradient(w)
 
-    def upt_gm_param(self, w: np.ndarray) -> None:
+    def upt_gm_param(
+        self, w: np.ndarray, responsibilities: Optional[np.ndarray] = None
+    ) -> None:
         """``uptGMParam()``: one M-step on ``pi``/``lambda`` (Eqs. (13),(17)).
 
-        When :meth:`update` has staged fresh fused responsibilities for
-        this exact ``(mixture, w, iteration)`` the M-step is evaluated
-        on them directly (no second density evaluation — the fusion);
-        otherwise it performs the full E+M step of
-        :func:`~repro.core.em.em_step`.
+        ``responsibilities`` is this iteration's E-step matrix for ``w``
+        under the current mixture; without it the M-step runs the kernel
+        itself (one more density evaluation).
         """
-        flat = np.asarray(w, dtype=np.float64).reshape(-1)
-        alpha = self._alpha[: self.mixture.n_components]
-        resp = self._take_pending_responsibilities()
-        if resp is not None and resp.shape[1] == self.mixture.n_components:
-            resp_sum, weighted_sq = suffstats_from_responsibilities(
-                resp, flat, accumulate_dtype=self.accumulate_dtype
-            )
-            self.mixture = em_step_from_stats(
-                self.mixture,
-                resp_sum,
-                weighted_sq,
-                alpha=alpha,
-                a=self._a,
-                b=self._b,
-                prune=self.prune_components,
-                merge=self.merge_components,
-            )
-        else:
+        if responsibilities is None:
+            responsibilities = self._evaluate(w).responsibilities
             self._n_density_evals += 1
-            self.mixture = em_step(
-                self.mixture,
-                flat,
-                alpha=alpha,
-                a=self._a,
-                b=self._b,
-                prune=self.prune_components,
-                merge=self.merge_components,
-            )
+        flat = np.asarray(w, dtype=np.float64).reshape(-1)
+        self.mixture = self._mstep(flat, responsibilities)
         self._n_mstep += 1
+
+    def _evaluate(self, w: np.ndarray) -> EStepResult:
+        """The kernel on a stack of one (not counted; callers count)."""
+        if np.size(w) != self.n_dimensions:
+            raise ValueError(
+                f"expected {self.n_dimensions} parameter dimensions, "
+                f"got {np.size(w)}"
+            )
+        (result,) = stacked_estep([self.mixture], [w], self._workspace)
+        return result
+
+    def _mstep(
+        self, flat: np.ndarray, responsibilities: np.ndarray
+    ) -> GaussianMixture:
+        """Equations (13)/(17) on this iteration's statistics alone.
+
+        Batch EM is the no-memory case; the online regularizer overrides
+        this to blend the statistics with its decayed running summary.
+        """
+        resp_sum, weighted_sq = suffstats_from_responsibilities(
+            responsibilities, flat
+        )
+        mixture, _, _ = em_step_from_stats(
+            self.mixture,
+            resp_sum,
+            weighted_sq,
+            alpha=self._alpha[: self.mixture.n_components],
+            a=self._a,
+            b=self._b,
+            prune=self.prune_components,
+            merge=self.merge_components,
+        )
+        return mixture
 
     # ------------------------------------------------------------------
     # Regularizer interface used by the trainers
@@ -266,67 +212,48 @@ class GMRegularizer(Regularizer):
         the stale cache is kept and reused by :meth:`gradient`.
         """
         if self.estep_due(iteration):
-            grad = self.calc_reg_grad(w)
-            self._cached_reg_grad = np.asarray(grad, dtype=np.float64).reshape(-1)
-            self._estep_iteration = iteration
+            self.calc_reg_grad(w)
 
     def estep_due(self, iteration: int) -> bool:
         """Whether :meth:`prepare` would refresh ``g_reg`` this iteration.
 
         True when there is no cached gradient yet or the lazy schedule
-        marks this iteration for an E-step.  The trainer's stacked pass
-        (:func:`repro.core.fusion.stacked_prepare`) uses this to decide
-        which regularizers join the batched kernel invocation.
+        marks this iteration for an E-step.  The training step uses this
+        to decide which regularizers join the stacked kernel call.
         """
         return self._cached_reg_grad is None or (
-            self.schedule.should_update_reg_gradient(iteration, self._epoch)
+            self.schedule.should_update_reg_gradient(
+                iteration, self._schedule_epoch(iteration)
+            )
         )
 
-    def adopt_estep(
-        self, w: np.ndarray, iteration: int, result: EStepResult
-    ) -> None:
-        """Install an externally computed fused E-step result.
+    def mstep_due(self, iteration: int) -> bool:
+        """Whether :meth:`update` runs the M-step this iteration."""
+        return self.schedule.should_update_gm(
+            iteration, self._schedule_epoch(iteration)
+        )
 
-        The stacked multi-layer pass evaluates one kernel for many
-        regularizers and hands each its slice here; the effect (cache,
-        stash, counters) is identical to :meth:`prepare` performing the
-        E-step itself on a due iteration.
+    def _schedule_epoch(self, iteration: int) -> int:
+        """The epoch the lazy schedule sees at ``iteration``."""
+        del iteration
+        return self._epoch
+
+    def adopt_estep(self, result: EStepResult) -> None:
+        """Install one E-step result as the cached ``g_reg``.
+
+        The training step evaluates one kernel for many regularizers and
+        hands each its slice here; :meth:`calc_reg_grad` installs its own
+        single-layer result the same way.  Counts one E-step and one
+        density evaluation.
         """
-        flat_size = int(np.asarray(w).size)
-        if flat_size != self.n_dimensions:
-            raise ValueError(
-                f"expected {self.n_dimensions} parameter dimensions, "
-                f"got {flat_size}"
-            )
         if result.gradient.shape != (self.n_dimensions,):
             raise ValueError(
                 f"gradient has shape {result.gradient.shape}, expected "
                 f"({self.n_dimensions},)"
             )
         self._cached_reg_grad = result.gradient
-        self._stash_estep(result.responsibilities, w)
-        self._estep_iteration = iteration
         self._n_estep += 1
         self._n_density_evals += 1
-
-    def _stash_estep(self, resp: np.ndarray, w: np.ndarray) -> None:
-        """Record the responsibility matrix for same-iteration M-step reuse.
-
-        The stash may be a view into the fused kernel's workspace buffer
-        — it stays valid exactly as long as the freshness conditions
-        checked by :meth:`update` hold (next E-step overwrites it, next
-        M-step replaces the mixture object).
-        """
-        self._estep_resp = resp
-        self._estep_iteration = None
-        self._estep_mixture = self.mixture
-        self._estep_w_ref = w
-
-    def _take_pending_responsibilities(self) -> Optional[np.ndarray]:
-        """Consume responsibilities staged by :meth:`update` (single use)."""
-        resp = self._pending_resp
-        self._pending_resp = None
-        return resp
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         """``g_reg`` — the cached value from the last E-step.
@@ -342,25 +269,20 @@ class GMRegularizer(Regularizer):
             )
         return self._cached_reg_grad.reshape(np.asarray(w).shape)
 
-    def update(self, w: np.ndarray, iteration: int) -> None:
+    def update(
+        self,
+        w: np.ndarray,
+        iteration: int,
+        responsibilities: Optional[np.ndarray] = None,
+    ) -> None:
         """M-step of Algorithm 2 (lines 9-11), honouring the lazy schedule.
 
-        If this iteration's E-step stashed responsibilities for the same
-        mixture and the same parameter array, the M-step reuses them
-        instead of re-evaluating the densities — the fused hot path.
-        Any mismatch (a lazy schedule with ``Im != Ig``, a restored
-        snapshot, a different array) falls back to the full E+M step.
+        ``responsibilities`` is this iteration's E-step matrix, handed
+        over by the training step so the M-step reuses it instead of
+        re-evaluating the densities.
         """
-        if self.schedule.should_update_gm(iteration, self._epoch):
-            if (
-                self.fused
-                and self._estep_resp is not None
-                and self._estep_iteration == iteration
-                and self._estep_mixture is self.mixture
-                and self._estep_w_ref is w
-            ):
-                self._pending_resp = self._estep_resp
-            self.upt_gm_param(w)
+        if self.mstep_due(iteration):
+            self.upt_gm_param(w, responsibilities)
 
     def epoch_end(self, epoch: int) -> None:
         """Advance the epoch counter used by the lazy schedule."""
@@ -380,8 +302,6 @@ class GMRegularizer(Regularizer):
             "estep_count": self._n_estep,
             "mstep_count": self._n_mstep,
             "density_evals": self._n_density_evals,
-            "fused": self.fused,
-            "kernel": self.kernel,
         }
 
     # ------------------------------------------------------------------
@@ -417,11 +337,6 @@ class GMRegularizer(Regularizer):
         self._n_estep = int(state.estep_count)
         self._n_mstep = int(state.mstep_count)
         self._cached_reg_grad = None
-        self._estep_resp = None
-        self._estep_iteration = None
-        self._estep_mixture = None
-        self._estep_w_ref = None
-        self._pending_resp = None
 
     # ------------------------------------------------------------------
     # Introspection helpers used by the experiments and tests
@@ -450,10 +365,9 @@ class GMRegularizer(Regularizer):
     def density_evals(self) -> int:
         """Number of per-component density evaluations over ``w`` so far.
 
-        The observable fixed by the fusion: a fused iteration running
-        both an E-step and an M-step evaluates the densities once;
-        the legacy (``fused=False``) path evaluates them once per
-        sub-phase, i.e. twice.
+        An iteration of the training step running both an E-step and an
+        M-step evaluates the densities once; an M-step on an iteration
+        without an E-step (a lazy schedule with ``Im != Ig``) adds one.
         """
         return self._n_density_evals
 

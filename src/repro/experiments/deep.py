@@ -15,7 +15,7 @@ n_blocks_per_stage=3, base_width=16`` recovers the paper-scale models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,19 +201,18 @@ def _gm_factory(
     alpha_exponent: float,
     init_method: str,
     schedule: Optional[LazyUpdateSchedule],
-    reg_kwargs: Optional[Dict] = None,
+    gm_regularizer: Callable[..., Regularizer] = GMRegularizer,
 ):
     """One GM regularizer per layer, calibrated to its init std."""
     def factory(name: str, m: int, weight_init_std: float) -> Regularizer:
         del name
         hp = GMHyperParams(gamma=gamma, alpha_exponent=alpha_exponent)
-        return GMRegularizer(
+        return gm_regularizer(
             n_dimensions=m,
             weight_init_std=weight_init_std,
             hyperparams=hp,
             init_method=init_method,
             schedule=schedule,
-            **(reg_kwargs or {}),
         )
     return factory
 
@@ -227,8 +226,7 @@ def train_deep(
     schedule: Optional[LazyUpdateSchedule] = None,
     data: Optional[ImageDataset] = None,
     callbacks=None,
-    reg_kwargs: Optional[Dict] = None,
-    trainer_kwargs: Optional[Dict] = None,
+    gm_regularizer: Callable[..., Regularizer] = GMRegularizer,
     model_dtype=None,
 ) -> DeepResult:
     """Train one model under one regularization mode.
@@ -245,18 +243,15 @@ def train_deep(
     callbacks:
         Optional :class:`~repro.telemetry.events.Callback` observers
         forwarded to :meth:`Trainer.fit`.
-    reg_kwargs:
-        Extra :class:`~repro.core.GMRegularizer` keyword arguments — the
-        hot-path benchmark toggles ``fused``/``kernel``/``compute_dtype``
-        here.
-    trainer_kwargs:
-        Extra :class:`~repro.optim.Trainer` keyword arguments (e.g.
-        ``stacked_em=False`` for the unfused baseline).
+    gm_regularizer:
+        Per-layer constructor taking :class:`~repro.core.GMRegularizer`'s
+        keyword arguments (``method="gm"`` only).  The hot-path
+        benchmark passes its reference baseline here.
     model_dtype:
         Optional dtype the network is cast to after construction
-        (``np.float32`` for the reduced-precision fast path); parameters
-        are initialized in float64 first so both precisions start from
-        identical values.
+        (``np.float32``: the E-step kernel then computes in float32);
+        parameters are initialized in float64 first so both precisions
+        start from identical values.
     """
     if method not in ("none", "l2", "gm"):
         raise ValueError(f"method must be none/l2/gm, got {method!r}")
@@ -272,7 +267,7 @@ def train_deep(
         model.attach_regularizers(
             _gm_factory(
                 config, gamma, alpha_exponent, init_method, schedule,
-                reg_kwargs,
+                gm_regularizer,
             )
         )
     trainer = Trainer(
@@ -280,7 +275,6 @@ def train_deep(
         lr=config.effective_lr,
         momentum=config.momentum,
         batch_size=config.batch_size,
-        **(trainer_kwargs or {}),
     )
     augment = make_augmenter(pad=max(1, config.image_size // 8)) \
         if config.effective_augment else None

@@ -3,45 +3,42 @@
 The batch M-step (Equations (13)/(17)) needs only two per-component
 sums over the weight vector — the responsibility mass
 ``S0_k = sum_m r_k(w_m)`` and the weighted square sum
-``S1_k = sum_m r_k(w_m) w_m^2``.  :mod:`repro.core.em` already factors
-the M-step through exactly those statistics
-(:func:`~repro.core.em.precisions_from_stats` /
-:func:`~repro.core.em.mixing_from_stats`), so the *online* variant only
-has to change how the statistics are produced: instead of recomputing
-them from scratch each step it maintains an exponentially decayed
-running summary
+``S1_k = sum_m r_k(w_m) w_m^2``.  :func:`repro.core.em.em_step_from_stats`
+is the one M-step, written over exactly those statistics, so the
+*online* variant only changes how the statistics are produced: instead
+of recomputing them from scratch each step it maintains an
+exponentially decayed running summary
 
     S <- rho * S + (1 - rho) * s_t        (first update: S = s_t)
 
-and runs the *identical* M-step code on it.  On stationary weights the
-recursion's fixed point is ``S = s_t``, i.e. the batch statistics —
-which is why the benchmark can require online π/λ to match batch EM
-within ``1e-3`` on stationary data, while under drift the decay keeps
-the prior tracking the moving weight distribution (the same spirit in
-which regularized/streaming EM variants stabilize updates on small
-batches).
+and hands it to that M-step, which carries the summary through its
+prune and merge (batch EM is the no-memory case).  On stationary
+weights the recursion's fixed point is ``S = s_t``, i.e. the batch
+statistics — which is why the benchmark can require online π/λ to
+match batch EM within ``1e-3`` on stationary data, while under drift
+the decay keeps the prior tracking the moving weight distribution (the
+same spirit in which regularized/streaming EM variants stabilize
+updates on small batches).
 
 :class:`DecayedGMRegularizer` packages the recursion behind the normal
-:class:`~repro.core.gm_regularizer.GMRegularizer` interface, with
-warm-up gating expressed through the existing
-:class:`~repro.core.lazy.LazyUpdateSchedule`: the first
-``warmup_steps`` streaming steps are treated as the schedule's eager
-epochs (every step refreshes), after which the lazy ``Im``/``Ig``
-intervals take over.
+:class:`~repro.core.gm_regularizer.GMRegularizer` interface, so it joins
+the training step's stacked E-step like any GM regularizer.  Warm-up
+gating is an override of the due-checks' epoch: the first
+``warmup_steps`` streaming steps are treated as the
+:class:`~repro.core.lazy.LazyUpdateSchedule`'s eager epochs (every step
+refreshes), after which the lazy ``Im``/``Ig`` intervals take over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.em import (
     RegularizerEMState,
-    merge_plan,
-    mixing_from_stats,
-    precisions_from_stats,
+    em_step_from_stats,
     suffstats_from_responsibilities,
 )
 from ..core.gaussian_mixture import GaussianMixture
@@ -90,19 +87,15 @@ def online_em_step(
 ) -> OnlineEMState:
     """One online E+M step on the GM parameters for the current ``w``.
 
-    Mirrors :func:`repro.core.em.em_step` exactly — same E-step, same
-    stats-based M-step, same prune/merge post-processing — except the
-    M-step consumes the decayed running statistics instead of this
-    step's raw sums.  Pruned components drop their statistics rows;
-    merged components (via :func:`~repro.core.em.merge_plan`) *sum*
-    their statistics, so the summary stays aligned with the mixture as
-    K collapses.
+    Blends this step's statistics into the decayed running summary and
+    hands it to :func:`repro.core.em.em_step_from_stats`, the M-step
+    batch EM uses too.  Pruned components drop their statistics rows and
+    merged components sum them, so the summary stays aligned with the
+    mixture as K collapses.
 
-    ``responsibilities`` lets the fused hot path hand over the
-    Equation (9) matrix already computed for this exact ``(mixture,
-    w)`` pair, skipping the E-step's second density evaluation; with
-    float64 responsibilities the result is bit-identical to computing
-    them here.
+    ``responsibilities`` is the Equation (9) matrix already computed for
+    this exact ``(mixture, w)`` pair by the E-step kernel; without it
+    they come from :meth:`GaussianMixture.responsibilities`.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
@@ -119,63 +112,22 @@ def online_em_step(
             f"({w.size}, {mixture.n_components})"
         )
     s0, s1 = suffstats_from_responsibilities(resp, w)
-    resp_sum = _blend(state.resp_sum, s0, rho)
-    weighted_sq = _blend(state.weighted_sq, s1, rho)
-
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    lam = precisions_from_stats(resp_sum, weighted_sq, a=a, b=b)
-    pi = mixing_from_stats(resp_sum, alpha=alpha, prune=prune)
-
-    keep = pi > 0.0
-    if not np.all(keep) and keep.sum() >= 1:
-        pi = pi[keep] / pi[keep].sum()
-        lam = lam[keep]
-        resp_sum = resp_sum[keep]
-        weighted_sq = weighted_sq[keep]
-
-    if merge and pi.size > 1:
-        groups = merge_plan(pi, lam, rel_tol=merge_rel_tol)
-        if len(groups) < pi.size:
-            pi, lam, resp_sum, weighted_sq = _apply_merge(
-                groups, pi, lam, resp_sum, weighted_sq
-            )
-
+    updated, resp_sum, weighted_sq = em_step_from_stats(
+        mixture,
+        _blend(state.resp_sum, s0, rho),
+        _blend(state.weighted_sq, s1, rho),
+        alpha=alpha,
+        a=a,
+        b=b,
+        prune=prune,
+        merge=merge,
+        merge_rel_tol=merge_rel_tol,
+    )
     return OnlineEMState(
-        mixture=GaussianMixture(pi=pi, lam=lam),
+        mixture=updated,
         resp_sum=resp_sum,
         weighted_sq=weighted_sq,
         updates=state.updates + 1,
-    )
-
-
-def _apply_merge(
-    groups: List[List[int]],
-    pi: np.ndarray,
-    lam: np.ndarray,
-    resp_sum: np.ndarray,
-    weighted_sq: np.ndarray,
-) -> tuple:
-    """Collapse each merge-plan group, summing its statistics rows.
-
-    The merged mixture parameters use the same arithmetic as
-    :func:`~repro.core.em.merge_similar_components` (summed ``pi``,
-    pi-weighted mean ``lambda``) so batch and online paths agree; the
-    statistics of a merged component are the plain sums of its members'
-    (a sum of sums is the merged component's sufficient statistic).
-    """
-    new_pi, new_lam, new_s0, new_s1 = [], [], [], []
-    for group in groups:
-        idx = np.asarray(group, dtype=np.intp)
-        total = float(pi[idx].sum())
-        new_pi.append(total)
-        new_lam.append(float((pi[idx] * lam[idx]).sum()) / max(total, 1e-300))
-        new_s0.append(float(resp_sum[idx].sum()))
-        new_s1.append(float(weighted_sq[idx].sum()))
-    return (
-        np.asarray(new_pi),
-        np.asarray(new_lam),
-        np.asarray(new_s0),
-        np.asarray(new_s1),
     )
 
 
@@ -185,14 +137,15 @@ class DecayedGMRegularizer(GMRegularizer):
     Drop-in for the batch regularizer inside any training loop, but
     built for streams:
 
-    - :meth:`upt_gm_param` applies :func:`online_em_step` — the running
+    - The M-step applies :func:`online_em_step` — the running
       ``S0``/``S1`` summary carries memory of past weight snapshots with
       exponential decay ``rho``, so one noisy mini-batch cannot yank the
       prior around, yet the prior still tracks drift.
-    - Warm-up gating reuses the lazy schedule: streaming steps below
-      ``warmup_steps`` are mapped to the schedule's eager-epoch regime
-      (refresh every step); afterwards the lazy ``Im``/``Ig`` intervals
-      apply, exactly as in Algorithm 2's post-warm-up phase.
+    - Warm-up gating reuses the lazy schedule: the due-checks map
+      streaming steps below ``warmup_steps`` to the schedule's
+      eager-epoch regime (refresh every step); afterwards the lazy
+      ``Im``/``Ig`` intervals apply, exactly as in Algorithm 2's
+      post-warm-up phase.
     - :meth:`em_state`/:meth:`load_em_state` additionally round-trip the
       running statistics, so a :class:`~repro.optim.trainer.TrainerState`
       snapshot resumes the stream where it left off.
@@ -209,8 +162,6 @@ class DecayedGMRegularizer(GMRegularizer):
         merge_components: bool = True,
         rho: float = 0.95,
         warmup_steps: int = 0,
-        fused: bool = True,
-        kernel: str = "exact",
     ) -> None:
         super().__init__(
             n_dimensions,
@@ -220,8 +171,6 @@ class DecayedGMRegularizer(GMRegularizer):
             schedule=schedule,
             prune_components=prune_components,
             merge_components=merge_components,
-            fused=fused,
-            kernel=kernel,
         )
         if not 0.0 < rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {rho}")
@@ -241,7 +190,7 @@ class DecayedGMRegularizer(GMRegularizer):
     # ------------------------------------------------------------------
     # Warm-up gating through the lazy schedule
     # ------------------------------------------------------------------
-    def _epoch_for(self, iteration: int) -> int:
+    def _schedule_epoch(self, iteration: int) -> int:
         """Map a streaming step onto the schedule's epoch axis.
 
         Steps inside the warm-up window behave like epoch 0 (eager:
@@ -252,38 +201,13 @@ class DecayedGMRegularizer(GMRegularizer):
             return 0
         return self.schedule.eager_epochs
 
-    def prepare(self, w: np.ndarray, iteration: int) -> None:
-        """E-step with the warm-up window standing in for eager epochs."""
-        self._epoch = self._epoch_for(iteration)
-        super().prepare(w, iteration)
-
-    def update(self, w: np.ndarray, iteration: int) -> None:
-        """M-step with the warm-up window standing in for eager epochs."""
-        self._epoch = self._epoch_for(iteration)
-        super().update(w, iteration)
-
     # ------------------------------------------------------------------
     # The decayed M-step
     # ------------------------------------------------------------------
-    def upt_gm_param(self, w: np.ndarray) -> None:
-        """``uptGMParam()`` on the decayed summary instead of raw sums.
-
-        Fresh fused responsibilities staged by ``update()`` (same
-        mixture, same ``w``, same iteration) feed the decayed statistics
-        directly — the same single-density-evaluation fusion as the
-        batch regularizer, extended to the online path.
-        """
-        flat = np.asarray(w, dtype=np.float64).reshape(-1)
-        alpha = self._alpha[: self.mixture.n_components]
-        resp = self._take_pending_responsibilities()
-        if resp is not None and resp.shape[1] != self.mixture.n_components:
-            resp = None
-        if resp is not None and resp.dtype != np.float64:
-            # The decayed recursion is float64 end-to-end; promote
-            # float32 fast-kernel responsibilities before blending.
-            resp = resp.astype(np.float64)
-        if resp is None:
-            self._n_density_evals += 1
+    def _mstep(
+        self, flat: np.ndarray, responsibilities: np.ndarray
+    ) -> GaussianMixture:
+        """``uptGMParam()`` on the decayed summary instead of raw sums."""
         state = online_em_step(
             OnlineEMState(
                 mixture=self.mixture,
@@ -292,19 +216,18 @@ class DecayedGMRegularizer(GMRegularizer):
                 updates=self._em_updates,
             ),
             flat,
-            alpha=alpha,
+            alpha=self._alpha[: self.mixture.n_components],
             a=self._a,
             b=self._b,
             rho=self.rho,
             prune=self.prune_components,
             merge=self.merge_components,
-            responsibilities=resp,
+            responsibilities=responsibilities,
         )
-        self.mixture = state.mixture
         self._resp_sum = state.resp_sum
         self._weighted_sq = state.weighted_sq
         self._em_updates = state.updates
-        self._n_mstep += 1
+        return state.mixture
 
     # ------------------------------------------------------------------
     # Snapshot/restore carrying the running statistics

@@ -3,9 +3,10 @@
 The batch :class:`~repro.optim.trainer.Trainer` owns the full dataset
 and walks it in epochs; the GEMINI-style continuous loop never sees the
 full dataset — mini-batches arrive forever.  :class:`OnlineTrainer`
-keeps the Algorithm 2 per-iteration ordering (E-step → gradient →
-M-step → SGD, each under its ``phase/<name>`` timer) but replaces the
-epoch loop with a single :meth:`partial_fit` call per arriving batch,
+runs the batch trainer's own iteration body
+(:class:`~repro.optim.trainer.Stepper`: E-step → gradient → M-step →
+SGD, each under its ``phase/<name>`` timer) but replaces the epoch loop
+with a single :meth:`partial_fit` call per arriving batch,
 pairing naturally with :class:`~repro.online.em.DecayedGMRegularizer`
 whose decayed statistics stand in for the vanished full-data view.
 
@@ -25,14 +26,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..optim.schedules import ConstantLR, LRSchedule
 from ..optim.sgd import SGD
 from ..optim.trainer import (
-    PHASES,
+    Stepper,
     TrainableModel,
     TrainerState,
     capture_trainer_state,
@@ -108,12 +109,12 @@ class OnlineTrainer:
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry(clock=clock)
         )
-        self._params = list(model.parameters())
         self._optimizer = SGD(
-            [p.value for p in self._params],
+            [p.value for p in model.parameters()],
             lr=self.schedule.lr_at(0),
             momentum=self.momentum,
         )
+        self._stepper = Stepper(model, self._optimizer, self.metrics)
         self._iteration = 0
         self._samples_seen = 0
         self._loss_ewma: Optional[float] = None
@@ -160,31 +161,8 @@ class OnlineTrainer:
             reg_scale = 1.0 / float(max(n_effective, 1))
             lr = self.schedule.lr_at(self._iteration)
             self._optimizer.set_lr(lr)
-            timers = {
-                phase: self.metrics.timer(f"phase/{phase}") for phase in PHASES
-            }
             it = self._iteration
-            # E-step (lazy, warm-up gated): refresh cached g_reg where due.
-            with timers["estep"]:
-                for param in self._params:
-                    if param.regularizer is not None:
-                        param.regularizer.prepare(param.value, it)
-            # Data-misfit gradient plus scaled regularizer gradient.
-            with timers["grad"]:
-                loss, grads = self.model.loss_and_gradients(x, y)
-                for param, grad in zip(self._params, grads):
-                    if param.regularizer is not None:
-                        grad += reg_scale * param.regularizer.gradient(
-                            param.value
-                        )
-            # M-step (lazy): decayed-statistics update of pi/lambda.
-            with timers["mstep"]:
-                for param in self._params:
-                    if param.regularizer is not None:
-                        param.regularizer.update(param.value, it)
-            # SGD apply.
-            with timers["sgd"]:
-                self._optimizer.step(grads)
+            loss = self._stepper.step(x, y, it, reg_scale)
             self._iteration = it + 1
 
             loss = float(loss)

@@ -5,7 +5,7 @@ EM on the GM parameters.  Per mini-batch iteration the exact Algorithm 2
 ordering is followed:
 
 1. *E-step* (lazy): each adaptive regularizer refreshes its cached
-   ``g_reg`` (``Regularizer.prepare``).
+   ``g_reg``; every due GM regularizer shares one stacked kernel call.
 2. The data-misfit gradient ``g_ll`` is computed by the model and the
    regularizer gradients are added (Equation (10)).  Because the models
    report the *mean* per-sample loss while the MAP objective (Equation
@@ -16,11 +16,13 @@ ordering is followed:
    compatible with its learning rates: the per-step decay is
    ``lr * lambda / N``.
 3. *M-step* (lazy): the GM parameters are updated
-   (``Regularizer.update``).
+   (``Regularizer.update``) from the E-step's responsibilities.
 4. *SGD step*: the optimizer applies the combined gradient.
 
-The same loop trains logistic regression and the deep networks; the
-model only has to satisfy :class:`TrainableModel`.
+:class:`Stepper` is that iteration body, written once; :class:`Trainer`
+(epochs) and :class:`~repro.online.trainer.OnlineTrainer` (a stream)
+are the loops around it.  The same loop trains logistic regression and
+the deep networks; the model only has to satisfy :class:`TrainableModel`.
 
 **Observability.**  Each of the four phases above runs inside a named
 phase timer of the trainer's :class:`~repro.telemetry.metrics.MetricsRegistry`
@@ -44,7 +46,8 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from ..core.em import RegularizerEMState
-from ..core.fusion import Workspace, stacked_prepare
+from ..core.fusion import NonFiniteParameter, Workspace, stacked_estep
+from ..core.gm_regularizer import GMRegularizer
 from ..core.regularizers import Regularizer
 from ..rng import default_generator
 from ..telemetry.events import (
@@ -54,7 +57,7 @@ from ..telemetry.events import (
     EMStepInfo,
     RunContext,
 )
-from ..telemetry.metrics import MetricsRegistry, PhaseTimer
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.runtime import default_callbacks
 from ..telemetry.trace import start_span
 from .schedules import ConstantLR, LRSchedule
@@ -68,6 +71,7 @@ __all__ = [
     "TrainerState",
     "capture_trainer_state",
     "restore_trainer_state",
+    "Stepper",
     "Trainer",
 ]
 
@@ -218,6 +222,101 @@ def restore_trainer_state(model: TrainableModel, state: TrainerState) -> None:
 PHASES = ("estep", "grad", "mstep", "sgd")
 
 
+class Stepper:
+    """One Algorithm-2 iteration: E-step → gradient → M-step → SGD.
+
+    The iteration body both trainers share; :class:`Trainer` wraps it in
+    epochs and observers, :class:`~repro.online.trainer.OnlineTrainer`
+    in a stream.  Each phase runs under its ``phase/<name>`` timer.
+
+    - *E-step* (lines 4-7): every GM regularizer whose E-step is due
+      joins one :func:`~repro.core.fusion.stacked_estep` call and adopts
+      its slice as the cached ``g_reg``; other regularizers run their
+      own ``prepare`` hook.
+    - *Gradient*: ``g_ll + reg_scale * reg.gradient(w)`` per parameter
+      (Equation (10)).
+    - *M-step* (lines 9-11): each GM regularizer's M-step receives the
+      responsibilities this iteration's E-step computed for it, so the
+      densities are evaluated once.  An M-step due without an E-step
+      runs the kernel itself.
+    - *SGD* (line 12): the optimizer applies the combined gradients.
+
+    A NaN or infinite regularized weight raises
+    :class:`~repro.core.fusion.NonFiniteParameter` naming the parameter
+    and the iteration, before any M-step replaces a mixture.
+    """
+
+    def __init__(
+        self,
+        model: TrainableModel,
+        optimizer: SGD,
+        metrics: MetricsRegistry,
+    ) -> None:
+        self.model = model
+        self.params = list(model.parameters())
+        self.optimizer = optimizer
+        self.timers = {
+            phase: metrics.timer(f"phase/{phase}") for phase in PHASES
+        }
+        self._workspace = Workspace()
+
+    def step(
+        self, x: np.ndarray, y: np.ndarray, iteration: int, reg_scale: float
+    ) -> float:
+        """Run one iteration on batch ``(x, y)``; returns its data loss."""
+        timers = self.timers
+        with timers["estep"]:
+            responsibilities = self._estep(iteration)
+        with timers["grad"]:
+            loss, grads = self.model.loss_and_gradients(x, y)
+            for param, grad in zip(self.params, grads):
+                if param.regularizer is not None:
+                    grad += reg_scale * param.regularizer.gradient(param.value)
+        with timers["mstep"]:
+            for i, param in enumerate(self.params):
+                reg = param.regularizer
+                if isinstance(reg, GMRegularizer):
+                    try:
+                        reg.update(
+                            param.value, iteration, responsibilities.get(i)
+                        )
+                    except NonFiniteParameter:
+                        raise NonFiniteParameter(
+                            i, param.name, iteration
+                        ) from None
+                elif reg is not None:
+                    reg.update(param.value, iteration)
+        with timers["sgd"]:
+            self.optimizer.step(grads)
+        return loss
+
+    def _estep(self, iteration: int) -> Dict[int, np.ndarray]:
+        """The E-step phase; returns responsibilities by parameter index."""
+        due: List[int] = []
+        regs: List[GMRegularizer] = []
+        for i, param in enumerate(self.params):
+            reg = param.regularizer
+            if isinstance(reg, GMRegularizer):
+                if reg.estep_due(iteration):
+                    due.append(i)
+                    regs.append(reg)
+            elif reg is not None:
+                reg.prepare(param.value, iteration)
+        try:
+            results = stacked_estep(
+                [reg.mixture for reg in regs],
+                [self.params[i].value for i in due],
+                self._workspace,
+            )
+        except NonFiniteParameter as exc:
+            raise NonFiniteParameter(
+                due[exc.index], self.params[due[exc.index]].name, iteration
+            ) from None
+        for reg, result in zip(regs, results):
+            reg.adopt_estep(result)
+        return {i: result.responsibilities for i, result in zip(due, results)}
+
+
 class Trainer:
     """Mini-batch SGD + interleaved EM (Algorithms 1 and 2).
 
@@ -251,12 +350,6 @@ class Trainer:
         phase timers and counters.  A fresh registry (sharing ``clock``)
         is created when omitted.  The registry is reset at the start of
         every :meth:`fit`.
-    stacked_em:
-        When True (default) the per-parameter E-step loop is routed
-        through :func:`repro.core.fusion.stacked_prepare`, which batches
-        every due fused GM regularizer into one stacked kernel
-        invocation per iteration (bit-identical under the default exact
-        kernel).  ``False`` keeps the plain per-parameter loop.
     """
 
     def __init__(
@@ -270,7 +363,6 @@ class Trainer:
         patience: int = 3,
         clock: Callable[[], float] = time.perf_counter,
         metrics: Optional[MetricsRegistry] = None,
-        stacked_em: bool = True,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -285,8 +377,6 @@ class Trainer:
         self.patience = int(patience)
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry(clock=clock)
-        self.stacked_em = bool(stacked_em)
-        self._em_workspace = Workspace()
         self._iteration = 0
         self._reg_scale = 1.0
 
@@ -339,6 +429,7 @@ class Trainer:
         optimizer = SGD(
             [p.value for p in params], lr=self.schedule.lr_at(0), momentum=self.momentum
         )
+        stepper = Stepper(self.model, optimizer, self.metrics)
 
         self.metrics.reset()
         cbs = CallbackList(list(callbacks or ()) + list(default_callbacks()))
@@ -352,7 +443,7 @@ class Trainer:
         )
         emit_em = cbs.wants_em_step
         emit_batch = cbs.wants_batch_end
-        timers = {phase: self.metrics.timer(f"phase/{phase}") for phase in PHASES}
+        timers = stepper.timers
         batch_counter = self.metrics.counter("train/batches")
         epoch_counter = self.metrics.counter("train/epochs")
         loss_hist = self.metrics.histogram("train/epoch_loss")
@@ -392,8 +483,8 @@ class Trainer:
                             xb = augment(xb, rng)
                         iteration = self._iteration
                         loss = self._train_step(
-                            params, optimizer, xb, yb, timers,
-                            cbs if emit_em else None, ctx, epoch,
+                            stepper, xb, yb, cbs if emit_em else None,
+                            ctx, epoch,
                         )
                         epoch_loss += loss
                         batch_counter.inc()
@@ -507,17 +598,16 @@ class Trainer:
     # ------------------------------------------------------------------
     def _train_step(
         self,
-        params: List[Parameter],
-        optimizer: SGD,
+        stepper: Stepper,
         xb: np.ndarray,
         yb: np.ndarray,
-        timers: dict[str, PhaseTimer],
         em_observers: Optional[CallbackList],
         ctx: RunContext,
         epoch: int,
     ) -> float:
-        """One Algorithm-2 iteration; returns the batch data-misfit loss."""
+        """One Algorithm-2 iteration plus its EM-step observers."""
         it = self._iteration
+        params = stepper.params
         if em_observers is not None:
             counts_before = [
                 (
@@ -528,30 +618,7 @@ class Trainer:
                 else (0, 0)
                 for p in params
             ]
-        # E-step (lines 4-7): refresh cached g_reg where due.  The
-        # stacked pass fuses all due per-layer GMs into one kernel call;
-        # non-fusable regularizers fall back to their own prepare().
-        with timers["estep"]:
-            if self.stacked_em:
-                stacked_prepare(params, it, workspace=self._em_workspace)
-            else:
-                for param in params:
-                    if param.regularizer is not None:
-                        param.regularizer.prepare(param.value, it)
-        # Data-misfit gradient g_ll plus regularizer gradient (Eq. (10)).
-        with timers["grad"]:
-            loss, grads = self.model.loss_and_gradients(xb, yb)
-            for param, grad in zip(params, grads):
-                if param.regularizer is not None:
-                    grad += self._reg_scale * param.regularizer.gradient(param.value)
-        # M-step (lines 9-11): update pi/lambda where due.
-        with timers["mstep"]:
-            for param in params:
-                if param.regularizer is not None:
-                    param.regularizer.update(param.value, it)
-        # SGD step (line 12).
-        with timers["sgd"]:
-            optimizer.step(grads)
+        loss = stepper.step(xb, yb, it, self._reg_scale)
         if em_observers is not None:
             for param, (e0, m0) in zip(params, counts_before):
                 reg = param.regularizer

@@ -4,7 +4,7 @@ The serving and telemetry subsystems are the repo's operator-facing
 surface — the runbook (``docs/RUNBOOK.md``) and architecture notes
 lean on their docstrings, and ``help()`` at a debugging prompt is the
 operator's first tool.  ``repro.core`` is the paper's algorithmic
-surface (mixtures, regularizers, the fused E-step kernels) and is held
+surface (mixtures, regularizers, the E-step kernel) and is held
 to the same bar.  This rule keeps that surface documented for the
 ``repro.core``, ``repro.serve`` and ``repro.telemetry`` packages:
 

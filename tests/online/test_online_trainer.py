@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import NonFiniteParameter
 from repro.linear.logistic import LogisticRegression
 from repro.online import DecayedGMRegularizer, DriftStream, OnlineTrainer
 from repro.optim.trainer import Trainer
@@ -122,3 +123,22 @@ class TestTrainerStateHandoff:
             model.regularizer._resp_sum,
         )
         assert resumed.step_count == 10
+
+
+class TestNonFiniteWeights:
+    def test_partial_fit_raises_typed_error_naming_parameter_and_step(self):
+        stream = DriftStream(n_features=10, batch_size=16, seed=3)
+        model = make_model(rho=0.9, warmup_steps=5)
+        trainer = OnlineTrainer(model, lr=0.2)
+        trainer.partial_fit(*stream.next_batch())
+        reg = model.parameters()[0].regularizer
+        pi, lam, msteps = reg.pi.copy(), reg.lam.copy(), reg.mstep_count
+        model.parameters()[0].value[0] = np.inf
+        with pytest.raises(
+            NonFiniteParameter, match="'weights'.*iteration 1"
+        ) as info:
+            trainer.partial_fit(*stream.next_batch())
+        assert info.value.iteration == 1
+        assert reg.mstep_count == msteps
+        np.testing.assert_array_equal(reg.pi, pi)
+        np.testing.assert_array_equal(reg.lam, lam)

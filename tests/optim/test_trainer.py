@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import GMRegularizer, L2Regularizer, LazyUpdateSchedule
+from repro.core import (
+    GMRegularizer,
+    L2Regularizer,
+    LazyUpdateSchedule,
+    NonFiniteParameter,
+)
 from repro.linear import LogisticRegression
 from repro.optim import ConstantLR, Parameter, StepDecayLR, Trainer
 
@@ -258,3 +263,20 @@ def test_fit_without_tracer_adds_no_spans(rng):
     )
     assert current_tracer() is None
     assert current_span() is None
+
+
+def test_non_finite_weight_raises_typed_error_before_any_mstep(rng):
+    """One NaN weight stops the fit with an error naming the parameter and
+    iteration, and leaves the mixture the M-step would have replaced."""
+    x, y = make_data(rng, n=60, dim=12)
+    reg = GMRegularizer(12)
+    model = LogisticRegression(12, regularizer=reg, rng=rng)
+    model.parameters()[0].value[3] = np.nan
+    pi, lam = reg.pi.copy(), reg.lam.copy()
+    with pytest.raises(NonFiniteParameter, match="'weights'.*iteration 0") as info:
+        Trainer(model, lr=0.3, batch_size=20).fit(x, y, epochs=1, rng=rng)
+    assert isinstance(info.value, ValueError)
+    assert info.value.name == "weights" and info.value.iteration == 0
+    assert reg.mstep_count == 0
+    np.testing.assert_array_equal(reg.pi, pi)
+    np.testing.assert_array_equal(reg.lam, lam)

@@ -1,12 +1,15 @@
 """Property-based tests (hypothesis) for the GM core invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     GaussianMixture,
+    Workspace,
+    stacked_estep,
     update_mixing_coefficients,
     update_precisions,
 )
@@ -99,3 +102,63 @@ def test_samples_have_finite_values(gm, seed):
     samples = gm.sample(100, np.random.default_rng(seed))
     assert samples.shape == (100,)
     assert np.all(np.isfinite(samples))
+
+
+# Strategy: a stack of 1-4 layers for the E-step kernel, each with its
+# own mixture (K in 1..4, lambda in [1e-8, 1e12]) and weight vector
+# (M in 1..500, |w| log-uniform within [1e-8, 1e3], random signs).
+@st.composite
+def kernel_stacks(draw):
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 4))
+        pi = np.asarray(
+            draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+        )
+        log_lam = draw(
+            st.lists(st.floats(-8.0, 12.0), min_size=k, max_size=k)
+        )
+        mixture = GaussianMixture(pi=pi / pi.sum(), lam=10.0 ** np.asarray(log_lam))
+        m = draw(st.integers(1, 500))
+        lo = draw(st.floats(-8.0, 3.0))
+        hi = draw(st.floats(lo, 3.0))
+        r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = r.choice([-1.0, 1.0], size=m) * 10.0 ** r.uniform(lo, hi, size=m)
+        layers.append((mixture, w))
+    return layers
+
+
+@pytest.mark.parametrize(
+    "dtype, atol, grad_rtol",
+    [(np.float64, 1e-13, 1e-12), (np.float32, 1e-5, 1e-5)],
+)
+@given(stack=kernel_stacks())
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_oracle(dtype, atol, grad_rtol, stack):
+    """The one E-step kernel agrees with the Eq. 9 reference."""
+    mixtures = [m for m, _ in stack]
+    ws = [w.astype(dtype) for _, w in stack]
+    workspace = Workspace()
+    results = stacked_estep(mixtures, ws, workspace)
+    sizes = [w.size for w in ws]
+    k_max = max(m.n_components for m in mixtures)
+    # The kernel's stacked (K_max, M_total) block, padding included.
+    block = workspace.get("weighted", (k_max, sum(sizes)), np.dtype(dtype))
+    lo = 0
+    for result, m, w in zip(results, mixtures, ws):
+        hi = lo + w.size
+        resp = result.responsibilities
+        assert resp.shape == (w.size, m.n_components)
+        assert resp.dtype == dtype
+        assert result.gradient.dtype == np.float64
+        oracle = m.responsibilities(w.astype(np.float64))
+        np.testing.assert_allclose(resp, oracle, rtol=0, atol=atol)
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=atol)
+        assert np.all(block[m.n_components:, lo:hi] == 0.0)
+        np.testing.assert_allclose(
+            result.gradient,
+            (resp.astype(np.float64) @ m.lam) * w.astype(np.float64),
+            rtol=grad_rtol,
+            atol=0,
+        )
+        lo = hi
